@@ -5,7 +5,10 @@
 //!
 //! 1. computes the **valuation-domain** — all `(rule, θ)` with `I ⊨ θ body`
 //!    such that *no extension* of `θ` already satisfies the head (this
-//!    head-satisfaction guard is what terminates oid invention);
+//!    head-satisfaction guard is what terminates oid invention). Both
+//!    searches run on one pattern matcher: the body search walks the rule's
+//!    plan depth-first over one binding, the guard stops at the first
+//!    extension it finds;
 //! 2. picks a **valuation-map** — fresh, pairwise-distinct oids for every
 //!    head-only variable of every `(rule, θ)` (or, under IQL⁺ `choose`, an
 //!    existing object chosen generically, Section 4.4);
@@ -28,14 +31,17 @@ use crate::ast::{Head, Literal, Program, Rule, Stage, Term, VarName};
 use crate::error::{IqlError, Result};
 use crate::govern::{governor_from_config, AbortReason, Aborted, Governor, Pacer, RunOutcome};
 use crate::planner::{build_plan, plan_rule, Op, PlanSource, RulePlan};
-use iql_exec::{chunk_ranges, rule_delta_supported, run_tasks};
+use iql_exec::{chunk_ranges, run_tasks};
 use iql_model::iso::orbits;
 use iql_model::{
-    AttrIndex, ClassName, IdView, Instance, Node, Oid, Overlay, OverlayLog, TypeExpr, ValueId,
-    ValueInterner, ValueReader, ValueStore,
+    AttrIndex, AttrName, ClassName, IdView, Instance, Node, Oid, Overlay, OverlayLog, TypeExpr,
+    ValueId, ValueInterner, ValueReader, ValueStore,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::cell::OnceCell;
+use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -609,8 +615,9 @@ struct Delta {
 /// at a valuation must depend only on relation/class facts (monotone) and
 /// the binding itself: no dereferences (ν changes untracked), no relation/
 /// class terms inside comparisons (their whole extent is state), no
-/// enumeration fallbacks (the active domain grows), no choose, no deletion.
-fn rule_seminaive_eligible(rule: &Rule) -> bool {
+/// enumeration fallbacks in its plan (the active domain grows), no choose,
+/// no deletion.
+fn rule_seminaive_eligible(rule: &Rule, plan: &RulePlan<'_>) -> bool {
     fn simple(t: &Term) -> bool {
         match t {
             Term::Var(_) | Term::Const(_) => true,
@@ -640,14 +647,7 @@ fn rule_seminaive_eligible(rule: &Rule) -> bool {
         Literal::Eq { left, right, .. } => simple(left) && simple(right),
         Literal::Choose => false,
     });
-    if !body_ok {
-        return false;
-    }
-    // No enumeration fallbacks in the plan.
-    match build_plan(rule) {
-        Ok(plan) => !plan.iter().any(|op| matches!(op, Op::Enumerate { .. })),
-        Err(_) => false,
-    }
+    body_ok && plan.enum_fallbacks == 0
 }
 
 /// One unit of the phase-1 valuation search: one rule, optionally
@@ -860,14 +860,14 @@ fn one_step(
         let delta_driven = delta_in.is_some()
             && cfg.use_seminaive
             && !stage_deletes
-            && rule_seminaive_eligible(rule);
+            && rule_seminaive_eligible(rule, &plans[ri]);
         if delta_driven {
             // Early exit: when every scan source of the rule is empty in
             // the delta, each delta-restricted run is empty — don't even
             // schedule the task. (`changed` bookkeeping can keep a stage
             // running on ν-only progress with an empty relation delta.)
             let delta = delta_in.expect("delta-driven requires a delta");
-            if !rule_delta_supported(plans[ri].sources.iter(), |s| delta_has_source(delta, s)) {
+            if !plans[ri].sources.iter().any(|s| delta_has_source(delta, s)) {
                 continue;
             }
             tasks.push(SearchTask {
@@ -1252,6 +1252,12 @@ fn choose_existing(
 // into the worker's Overlay (base-first lookup, so anything the base store
 // already knows keeps its base id — which makes base-id membership probes
 // sound even against overlay-produced ids).
+//
+// One matcher serves both searches of Section 3.2: the body search wants
+// every valuation, the head guard only whether some extension exists. It
+// binds variables in place on one binding, hands each extension to a
+// continuation and unbinds before trying the next, so neither search
+// clones a binding per extension and the guard stops at its first hit.
 // ---------------------------------------------------------------------
 
 /// Evaluates a term under a binding; `None` means the valuation is
@@ -1296,140 +1302,195 @@ fn eval_term_id<I: ValueInterner>(
     }
 }
 
-/// Matches `pattern` against the value behind `value` under `binding`,
-/// collecting **every** extending binding into `out`. Most patterns are
+/// The continuation a match hands each extension to, with the extended
+/// binding, the trail and the interner; `Break` stops the enumeration.
+type Cont<'k, I, B> = dyn FnMut(&mut IdBinding, &mut Vec<VarName>, &mut I) -> ControlFlow<B> + 'k;
+
+/// Matches `pattern` against the value behind `value`, calling `k` once per
+/// extension of `binding` that makes them equal. Most patterns are
 /// deterministic (zero or one extension); set-literal patterns may match
 /// in several ways (`{x, y} = {1, 2}` binds both assignments), and each is
 /// a distinct valuation per the paper's semantics.
+///
+/// Variables are bound in place and pushed on `trail`. On return `binding`
+/// and `trail` are as they were on entry, whether `k` let the enumeration
+/// finish or stopped it with `Break` (which is returned).
 ///
 /// Newly bound variables are checked against their declared type: a
 /// valuation must satisfy `θx ∈ ⟦t⟧π` (Section 3.2). This is what makes
 /// union-coercion equalities (`w = v` with `w` typed at one branch of
 /// `v`'s union type) act as runtime branch filters — exactly how the
-/// paper's Example 3.4.3 discriminates union values.
-fn match_term_all_id<I: ValueInterner>(
+/// paper's Example 3.4.3 discriminates union values — and what restricts
+/// the head guard's extensions to *existing* objects of an invention
+/// variable's class.
+#[allow(clippy::too_many_arguments)]
+fn match_term<I: ValueInterner, B>(
     pattern: &Term,
     value: ValueId,
-    binding: &IdBinding,
+    binding: &mut IdBinding,
+    trail: &mut Vec<VarName>,
     types: &BTreeMap<VarName, TypeExpr>,
     view: &IdView<'_>,
     interner: &mut I,
-    out: &mut Vec<IdBinding>,
-) {
-    match pattern {
+    k: &mut Cont<'_, I, B>,
+) -> ControlFlow<B> {
+    let matched = match pattern {
         Term::Var(v) => match binding.get(v) {
-            Some(&bound) => {
-                if bound == value {
-                    out.push(binding.clone());
-                }
-            }
+            Some(&bound) => bound == value,
             None => {
-                if let Some(ty) = types.get(v) {
-                    if !ty.member_id(value, interner, view) {
-                        return; // ill-typed binding is not a valuation
-                    }
+                if types
+                    .get(v)
+                    .is_some_and(|ty| !ty.member_id(value, interner, view))
+                {
+                    return ControlFlow::Continue(()); // ill-typed binding is not a valuation
                 }
-                let mut b = binding.clone();
-                b.insert(v.clone(), value);
-                out.push(b);
+                binding.insert(v.clone(), value);
+                trail.push(v.clone());
+                let flow = k(binding, trail, interner);
+                trail.pop();
+                binding.remove(v);
+                return flow;
             }
         },
-        Term::Const(c) => {
-            if matches!(interner.node(value), Node::Const(c2) if c == c2) {
-                out.push(binding.clone());
-            }
-        }
+        Term::Const(c) => matches!(interner.node(value), Node::Const(c2) if c == c2),
         Term::Rel(_) | Term::Class(_) | Term::Deref(_) => {
-            if eval_term_id(pattern, binding, view, interner) == Some(value) {
-                out.push(binding.clone());
-            }
+            eval_term_id(pattern, binding, view, interner) == Some(value)
         }
         Term::Tuple(fields) => {
             let Node::Tuple(entries) = interner.node(value) else {
-                return;
+                return ControlFlow::Continue(());
             };
             if fields.len() != entries.len()
                 || !fields.keys().copied().eq(entries.iter().map(|(a, _)| *a))
             {
-                return;
+                return ControlFlow::Continue(());
             }
             // Both sides are attribute-sorted, so position i of the node
             // is the value of the i-th pattern field.
             let entries = Arc::clone(entries);
-            let mut frontier = vec![binding.clone()];
-            for ((_, p), &(_, vid)) in fields.iter().zip(entries.iter()) {
-                let mut next = Vec::new();
-                for b in &frontier {
-                    match_term_all_id(p, vid, b, types, view, interner, &mut next);
-                }
-                frontier = next;
-                if frontier.is_empty() {
-                    return;
-                }
-            }
-            out.extend(frontier);
+            return match_fields(
+                fields.values(),
+                &entries,
+                binding,
+                trail,
+                types,
+                view,
+                interner,
+                k,
+            );
         }
         Term::Set(pats) => {
             let Node::Set(vals) = interner.node(value) else {
-                return;
+                return ControlFlow::Continue(());
             };
             // Bijective match: pattern elements map to distinct set
             // elements (duplicates among instantiated pattern elements
-            // would collapse, so sizes must agree). Every assignment is
-            // produced.
+            // would collapse, so sizes must agree).
             if pats.len() != vals.len() {
-                return;
+                return ControlFlow::Continue(());
             }
             let vals = Arc::clone(vals);
-            #[allow(clippy::too_many_arguments)]
-            fn go<I: ValueInterner>(
-                pats: &[Term],
-                vals: &[ValueId],
-                used: &mut Vec<bool>,
-                binding: &IdBinding,
-                types: &BTreeMap<VarName, TypeExpr>,
-                view: &IdView<'_>,
-                interner: &mut I,
-                out: &mut Vec<IdBinding>,
-            ) {
-                let Some(p) = pats.first() else {
-                    out.push(binding.clone());
-                    return;
-                };
-                for (i, &v) in vals.iter().enumerate() {
-                    if used[i] {
-                        continue;
-                    }
-                    let mut exts = Vec::new();
-                    match_term_all_id(p, v, binding, types, view, interner, &mut exts);
-                    if !exts.is_empty() {
-                        used[i] = true;
-                        for ext in &exts {
-                            go(&pats[1..], vals, used, ext, types, view, interner, out);
-                        }
-                        used[i] = false;
-                    }
-                }
-            }
+            // Distinct assignments can produce identical extensions. Every
+            // assignment binds the same variables, so an extension is its
+            // new bindings in variable order: collect them, sort, dedup,
+            // and continue from each distinct one, keeping valuations
+            // set-like.
+            let mark = trail.len();
+            let mut exts: Vec<Vec<(VarName, ValueId)>> = Vec::new();
             let mut used = vec![false; vals.len()];
-            let mut local = Vec::new();
-            go(
-                pats, &vals, &mut used, binding, types, view, interner, &mut local,
+            let _ = match_bijections(
+                pats,
+                &vals,
+                &mut used,
+                binding,
+                trail,
+                types,
+                view,
+                interner,
+                &mut |b: &mut IdBinding, t: &mut Vec<VarName>, _: &mut I| {
+                    let mut ext: Vec<(VarName, ValueId)> =
+                        t[mark..].iter().map(|v| (v.clone(), b[v])).collect();
+                    ext.sort();
+                    exts.push(ext);
+                    ControlFlow::<()>::Continue(())
+                },
             );
-            // Distinct assignment orders can produce identical bindings;
-            // dedup locally to keep valuations set-like.
-            local.sort();
-            local.dedup();
-            out.extend(local);
+            exts.sort();
+            exts.dedup();
+            for ext in exts {
+                for (v, id) in &ext {
+                    binding.insert(v.clone(), *id);
+                    trail.push(v.clone());
+                }
+                let flow = k(binding, trail, interner);
+                for (v, _) in &ext {
+                    trail.pop();
+                    binding.remove(v);
+                }
+                flow?;
+            }
+            return ControlFlow::Continue(());
         }
+    };
+    if matched {
+        k(binding, trail, interner)
+    } else {
+        ControlFlow::Continue(())
     }
 }
 
-fn undo_id(binding: &mut IdBinding, trail: &mut Vec<VarName>, mark: usize) {
-    while trail.len() > mark {
-        let v = trail.pop().expect("trail non-empty");
-        binding.remove(&v);
+/// Matches tuple field patterns in order against the aligned field values,
+/// then calls `k`.
+#[allow(clippy::too_many_arguments)]
+fn match_fields<I: ValueInterner, B>(
+    mut pats: btree_map::Values<'_, AttrName, Term>,
+    vals: &[(AttrName, ValueId)],
+    binding: &mut IdBinding,
+    trail: &mut Vec<VarName>,
+    types: &BTreeMap<VarName, TypeExpr>,
+    view: &IdView<'_>,
+    interner: &mut I,
+    k: &mut Cont<'_, I, B>,
+) -> ControlFlow<B> {
+    let (Some(p), Some(&(_, v))) = (pats.next(), vals.first()) else {
+        return k(binding, trail, interner);
+    };
+    let next = &mut |b: &mut IdBinding, t: &mut Vec<VarName>, i: &mut I| {
+        match_fields(pats.clone(), &vals[1..], b, t, types, view, i, k)
+    };
+    match_term(p, v, binding, trail, types, view, interner, next)
+}
+
+/// Matches each of `pats` onto a distinct unused element of `vals`, calling
+/// `k` once per complete assignment.
+#[allow(clippy::too_many_arguments)]
+fn match_bijections<I: ValueInterner, B>(
+    pats: &[Term],
+    vals: &[ValueId],
+    used: &mut [bool],
+    binding: &mut IdBinding,
+    trail: &mut Vec<VarName>,
+    types: &BTreeMap<VarName, TypeExpr>,
+    view: &IdView<'_>,
+    interner: &mut I,
+    k: &mut Cont<'_, I, B>,
+) -> ControlFlow<B> {
+    let Some((p, rest)) = pats.split_first() else {
+        return k(binding, trail, interner);
+    };
+    for (i, &v) in vals.iter().enumerate() {
+        if used[i] {
+            continue;
+        }
+        used[i] = true;
+        let next = &mut |b: &mut IdBinding, t: &mut Vec<VarName>, i: &mut I| {
+            match_bijections(rest, vals, used, b, t, types, view, i, k)
+        };
+        let flow = match_term(p, v, binding, trail, types, view, interner, next);
+        used[i] = false;
+        flow?;
     }
+    ControlFlow::Continue(())
 }
 
 // ---------------------------------------------------------------------
@@ -1501,7 +1562,11 @@ fn render_ops(ops: &[Op<'_>], out: &mut String) {
 }
 
 /// Computes all valuations `θ` of the body variables with `I ⊨ θ body`,
-/// executing a pre-built [`RulePlan`].
+/// executing a pre-built [`RulePlan`] depth-first over one binding: each
+/// op extends the binding in place and recurses into the next, and the
+/// binding is cloned into the result after the last op. Valuations come out
+/// in breadth-first order all the same — each op's extensions of a binding
+/// in order, concatenated over the bindings in order.
 ///
 /// When `delta` is `Some((d, i))`, the `i`-th relation/class scan of the
 /// plan draws from the delta instead of the full extent — the
@@ -1516,7 +1581,9 @@ fn render_ops(ops: &[Op<'_>], out: &mut String) {
 /// full-extent scan (counted as `index_hits`), or one built over the
 /// materialized candidates for a delta or sliced scan, or when the
 /// persistent index is missing (`index_misses`). A scan without a probe
-/// matches every candidate.
+/// matches every candidate. Such binding-independent [`OpState`] is built
+/// when the first binding reaches its op, so an op that no binding reaches
+/// reads nothing and raises no error.
 #[allow(clippy::too_many_arguments)]
 fn find_valuations_id(
     rule: &Rule,
@@ -1530,266 +1597,312 @@ fn find_valuations_id(
     outer: Option<(usize, usize)>,
     counters: &mut ScanCounters,
 ) -> Result<Vec<IdBinding>> {
-    let mut source_scan_idx = 0usize;
-    // Cooperative poll for deadline/cancellation, strided so the ungoverned
-    // hot path pays one predictable branch per iteration. Ticks sit on the
-    // loops that can run away: per frontier binding at every op, and per
-    // candidate fact/oid on the unbounded extent scans (a divergent program
-    // spends whole steps inside a single binding's scan).
-    let mut pacer = Pacer::new(gov);
+    let search = Search {
+        rule,
+        ops: &plan.ops,
+        inst,
+        view: *view,
+        cfg,
+        gov,
+        delta,
+        outer,
+        state: plan.ops.iter().map(|_| OnceCell::new()).collect(),
+    };
+    let mut walk = Walk {
+        pacer: Pacer::new(gov),
+        counters,
+        out: Vec::new(),
+    };
+    match search.descend(0, &mut IdBinding::new(), &mut Vec::new(), ov, &mut walk) {
+        ControlFlow::Continue(()) => Ok(walk.out),
+        ControlFlow::Break(e) => Err(e),
+    }
+}
 
-    // ---- Execute the plan over a frontier of id bindings. ----
-    let mut frontier: Vec<IdBinding> = vec![IdBinding::new()];
-    for (op_idx, op) in plan.ops.iter().enumerate() {
-        if frontier.is_empty() {
-            return Ok(frontier);
+/// One valuation search: the read-only inputs of [`find_valuations_id`]
+/// and the state of each op.
+struct Search<'s, 'p, 'v> {
+    rule: &'s Rule,
+    ops: &'s [Op<'p>],
+    inst: &'s Instance,
+    view: IdView<'v>,
+    cfg: &'s EvalConfig,
+    gov: &'s Governor,
+    delta: Option<(&'s Delta, usize)>,
+    outer: Option<(usize, usize)>,
+    state: Vec<OnceCell<OpState<'v>>>,
+}
+
+/// What an op reads that does not depend on the binding.
+enum OpState<'v> {
+    /// A relation scan with a probe: the index its keys are looked up in.
+    Probe(Cow<'v, AttrIndex>),
+    /// A relation scan without a probe, or an enumeration: the candidate
+    /// values, in order.
+    Values(Vec<ValueId>),
+    /// A class scan: the candidate oids, in extent order.
+    Oids(Vec<Oid>),
+    /// Nothing beyond the binding.
+    Stateless,
+}
+
+/// What a search writes as it walks.
+struct Walk<'c> {
+    pacer: Pacer,
+    counters: &'c mut ScanCounters,
+    out: Vec<IdBinding>,
+}
+
+impl Walk<'_> {
+    /// Counts one unit of work; `Break` on a deadline/cancellation trip.
+    fn tick(&mut self, gov: &Governor) -> ControlFlow<IqlError> {
+        match self.pacer.tick(gov) {
+            Some(reason) => ControlFlow::Break(reason.into()),
+            None => ControlFlow::Continue(()),
         }
-        let slice = match outer {
-            Some(range) if op_idx == 0 => Some(range),
-            _ => None,
+    }
+}
+
+fn is_source_scan(op: &Op<'_>) -> bool {
+    matches!(
+        op,
+        Op::Scan {
+            src: Term::Rel(_) | Term::Class(_),
+            ..
+        }
+    )
+}
+
+/// The candidates a scan iterates, in extent order: `source` (`None` is
+/// empty), cut to the `(skip, take)` slice of a parallel worker.
+fn scan_candidates<T: Copy>(source: Option<&BTreeSet<T>>, slice: Option<(usize, usize)>) -> Vec<T> {
+    let (skip, take) = slice.unwrap_or((0, usize::MAX));
+    source
+        .into_iter()
+        .flatten()
+        .skip(skip)
+        .take(take)
+        .copied()
+        .collect()
+}
+
+impl<'v> Search<'_, '_, 'v> {
+    /// Extends `binding` through ops `i..`, pushing a clone of every
+    /// complete valuation to `walk.out`.
+    fn descend(
+        &self,
+        i: usize,
+        binding: &mut IdBinding,
+        trail: &mut Vec<VarName>,
+        ov: &mut Overlay<'_>,
+        walk: &mut Walk<'_>,
+    ) -> ControlFlow<IqlError> {
+        let Some(op) = self.ops.get(i) else {
+            walk.out.push(binding.clone());
+            return ControlFlow::Continue(());
         };
-        let mut next: Vec<IdBinding> = Vec::new();
-        match op {
-            Op::Scan {
-                src: set,
-                pat: elem,
-                probe,
-            } => {
-                // Is this relation/class scan the differentiated position?
-                let restrict = match (set, delta) {
-                    (Term::Rel(_) | Term::Class(_), Some((d, at))) => {
-                        let hit = source_scan_idx == at;
-                        source_scan_idx += 1;
-                        if hit {
-                            Some(d)
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
+        // Cooperative poll for deadline/cancellation, strided so the
+        // ungoverned hot path pays one predictable branch per tick. Ticks
+        // sit on the loops that can run away: per binding at every op, and
+        // per candidate in `each` (a divergent program spends whole steps
+        // inside a single binding's scan).
+        walk.tick(self.gov)?;
+        let state = match self.state(i, ov) {
+            Ok(state) => state,
+            Err(e) => return ControlFlow::Break(e),
+        };
+        let view = &self.view;
+        match (op, state) {
+            (
+                Op::Scan {
+                    pat,
+                    probe: Some((_, key)),
+                    ..
+                },
+                OpState::Probe(index),
+            ) => {
+                if let Cow::Borrowed(_) = index {
+                    walk.counters.index_hits += 1;
+                } else {
+                    walk.counters.index_misses += 1;
+                }
+                // The probe term is fully bound under every binding
+                // (planner invariant); if it is undefined, no fact can
+                // match. Postings are id-ordered, matching candidate
+                // order, so probing never changes valuation order.
+                let Some(key) = eval_term_id(key, binding, view, ov) else {
+                    return ControlFlow::Continue(());
                 };
-                match set {
-                    Term::Rel(r) => {
-                        // Error parity across access paths: an unknown
-                        // relation is an error no matter which index (if
-                        // any) would serve the scan.
-                        let extent = view.relation_ids(*r)?;
-                        // A full-extent scan probes the frozen instance's
-                        // persistent index for the planner-chosen attribute
-                        // — no materialization, one id hash per binding. A
-                        // probe key the base store has never seen gets an
-                        // overlay-local id, which correctly misses every
-                        // (base-id) index entry.
-                        let persistent = match probe {
-                            Some((attr, _)) if slice.is_none() && restrict.is_none() => {
-                                view.rel_index(*r, *attr)
-                            }
-                            _ => None,
-                        };
-                        // Otherwise materialize the candidate ids once per
-                        // scan: the full extent, the delta, or the slice of
-                        // a partitioned outermost scan — always in id order,
-                        // so chunk concatenation preserves the sequential
-                        // valuation order.
-                        let facts: Vec<ValueId> = match (persistent, slice, restrict) {
-                            (Some(_), _, _) => Vec::new(),
-                            (None, Some((skip, take)), _) => {
-                                debug_assert!(
-                                    restrict.is_none(),
-                                    "chunked scans are never delta-driven"
-                                );
-                                extent.iter().skip(skip).take(take).copied().collect()
-                            }
-                            (None, None, Some(d)) => d
-                                .rels
-                                .get(r)
-                                .map(|s| s.iter().copied().collect())
-                                .unwrap_or_default(),
-                            (None, None, None) => extent.iter().copied().collect(),
-                        };
-                        // The one index this scan probes, if it has a
-                        // probe: the persistent one, or one local to the
-                        // scan over the candidates. Postings are id-ordered,
-                        // matching candidate order, so probing never
-                        // changes valuation order.
-                        let counter = if persistent.is_some() {
-                            &mut counters.index_hits
-                        } else {
-                            &mut counters.index_misses
-                        };
-                        let local;
-                        let index = match (persistent, probe) {
-                            (Some(index), Some((_, pterm))) => Some((index, *pterm)),
-                            (None, Some((attr, pterm))) => {
-                                local = AttrIndex::build(*attr, facts.iter().copied(), &*ov);
-                                Some((&local, *pterm))
-                            }
-                            (_, None) => None,
-                        };
-                        for binding in &frontier {
-                            if let Some(r) = pacer.tick(gov) {
-                                return Err(r.into());
-                            }
-                            let candidates = match index {
-                                Some((index, pterm)) => {
-                                    *counter += 1;
-                                    // The probe term is fully bound under
-                                    // every frontier binding (planner
-                                    // invariant); if it is undefined, no
-                                    // fact can match.
-                                    let Some(key) = eval_term_id(pterm, binding, view, ov) else {
-                                        continue;
-                                    };
-                                    index.get(key)
-                                }
-                                None => &facts[..],
-                            };
-                            for &fid in candidates {
-                                if let Some(r) = pacer.tick(gov) {
-                                    return Err(r.into());
-                                }
-                                match_term_all_id(
-                                    elem,
-                                    fid,
-                                    binding,
-                                    &rule.var_types,
-                                    view,
-                                    ov,
-                                    &mut next,
-                                );
-                            }
-                        }
-                    }
-                    Term::Class(p) => {
-                        let oids: Vec<Oid> = match (slice, restrict) {
-                            (Some((skip, take)), _) => {
-                                debug_assert!(
-                                    restrict.is_none(),
-                                    "chunked scans are never delta-driven"
-                                );
-                                view.class(*p)?
-                                    .iter()
-                                    .skip(skip)
-                                    .take(take)
-                                    .copied()
-                                    .collect()
-                            }
-                            (None, Some(d)) => d
-                                .classes
-                                .get(p)
-                                .map(|s| s.iter().copied().collect())
-                                .unwrap_or_default(),
-                            (None, None) => view.class(*p)?.iter().copied().collect(),
-                        };
-                        for binding in &frontier {
-                            for &o in &oids {
-                                if let Some(r) = pacer.tick(gov) {
-                                    return Err(r.into());
-                                }
-                                let vid = ov.oid_id(o);
-                                match_term_all_id(
-                                    elem,
-                                    vid,
-                                    binding,
-                                    &rule.var_types,
-                                    view,
-                                    ov,
-                                    &mut next,
-                                );
-                            }
-                        }
-                    }
-                    _ => {
-                        for binding in &frontier {
-                            if let Some(r) = pacer.tick(gov) {
-                                return Err(r.into());
-                            }
-                            let Some(sid) = eval_term_id(set, binding, view, ov) else {
-                                continue; // undefined ⇒ unsatisfied
-                            };
-                            let elems: Arc<[ValueId]> = match ov.node(sid) {
-                                Node::Set(e) => Arc::clone(e),
-                                _ => continue, // non-set ⇒ unsatisfied (typing!)
-                            };
-                            for &vid in elems.iter() {
-                                match_term_all_id(
-                                    elem,
-                                    vid,
-                                    binding,
-                                    &rule.var_types,
-                                    view,
-                                    ov,
-                                    &mut next,
-                                );
-                            }
-                        }
-                    }
+                for &fid in index.get(key) {
+                    self.each(i, pat, fid, binding, trail, ov, walk)?;
                 }
             }
-            Op::BindEq { src, pat } => {
-                for binding in &frontier {
-                    if let Some(r) = pacer.tick(gov) {
-                        return Err(r.into());
-                    }
-                    let Some(val) = eval_term_id(src, binding, view, ov) else {
-                        continue;
-                    };
-                    match_term_all_id(pat, val, binding, &rule.var_types, view, ov, &mut next);
+            (Op::Scan { pat, .. }, OpState::Values(facts)) => {
+                for &fid in facts {
+                    self.each(i, pat, fid, binding, trail, ov, walk)?;
                 }
             }
-            Op::Enumerate { item: (var, ty) } => {
-                let values = inst.enumerate_type(ty, cfg.enum_budget).map_err(|e| {
-                    // Surface the variable whose active-domain enumeration
-                    // blew the budget; other model errors pass through.
-                    match e {
-                        iql_model::ModelError::EnumerationBudget { budget, ty } => {
-                            IqlError::EnumBudget {
-                                var: var.clone(),
-                                ty,
-                                budget,
-                            }
-                        }
-                        other => IqlError::Model(other),
-                    }
-                })?;
-                // Intern in enumeration (tree) order — deterministic, and
-                // shared substructure across enumerated values is free.
-                let ids: Vec<ValueId> = values.iter().map(|v| ov.intern(v)).collect();
-                for binding in &frontier {
-                    match binding.get(var) {
-                        Some(bound) => {
-                            if ids.contains(bound) {
-                                next.push(binding.clone());
-                            }
-                        }
-                        None => {
-                            for &idv in &ids {
-                                let mut b = binding.clone();
-                                b.insert(var.clone(), idv);
-                                next.push(b);
-                            }
-                        }
-                    }
+            (Op::Scan { pat, .. }, OpState::Oids(oids)) => {
+                for &o in oids {
+                    let vid = ov.oid_id(o);
+                    self.each(i, pat, vid, binding, trail, ov, walk)?;
                 }
             }
+            (Op::Scan { src, pat, .. }, _) => {
+                // Undefined or non-set ⇒ unsatisfied (typing!).
+                let Some(sid) = eval_term_id(src, binding, view, ov) else {
+                    return ControlFlow::Continue(());
+                };
+                let Node::Set(elems) = ov.node(sid) else {
+                    return ControlFlow::Continue(());
+                };
+                for &vid in Arc::clone(elems).iter() {
+                    self.each(i, pat, vid, binding, trail, ov, walk)?;
+                }
+            }
+            (Op::BindEq { src, pat }, _) => {
+                if let Some(val) = eval_term_id(src, binding, view, ov) {
+                    self.each(i, pat, val, binding, trail, ov, walk)?;
+                }
+            }
+            (Op::Enumerate { item: (var, _) }, OpState::Values(ids)) => match binding.get(var) {
+                Some(&bound) => {
+                    if ids.contains(&bound) {
+                        self.descend(i + 1, binding, trail, ov, walk)?;
+                    }
+                }
+                None => {
+                    for &id in ids {
+                        binding.insert(var.clone(), id);
+                        let flow = self.descend(i + 1, binding, trail, ov, walk);
+                        binding.remove(var);
+                        flow?;
+                    }
+                }
+            },
+            (Op::Enumerate { .. }, _) => unreachable!("an enumeration prepares its values"),
             // Positive guards and negation guards execute identically here
             // (`literal_satisfied_id` honours the literal's own polarity);
             // the IR keeps them distinct because negation placement is the
             // semantically delicate part of planning.
-            Op::Filter { guard } | Op::NegGuard { guard } => {
-                for binding in &frontier {
-                    if let Some(r) = pacer.tick(gov) {
-                        return Err(r.into());
-                    }
-                    if literal_satisfied_id(guard, binding, view, ov) {
-                        next.push(binding.clone());
-                    }
+            (Op::Filter { guard } | Op::NegGuard { guard }, _) => {
+                if literal_satisfied_id(guard, binding, view, ov) {
+                    self.descend(i + 1, binding, trail, ov, walk)?;
                 }
             }
         }
-        frontier = next;
+        ControlFlow::Continue(())
     }
-    Ok(frontier)
+
+    /// Matches `pat` against one candidate `value` of op `i` and continues
+    /// with the next op, after a pacer tick.
+    #[allow(clippy::too_many_arguments)]
+    fn each(
+        &self,
+        i: usize,
+        pat: &Term,
+        value: ValueId,
+        binding: &mut IdBinding,
+        trail: &mut Vec<VarName>,
+        ov: &mut Overlay<'_>,
+        walk: &mut Walk<'_>,
+    ) -> ControlFlow<IqlError> {
+        walk.tick(self.gov)?;
+        let next = &mut |b: &mut IdBinding, t: &mut Vec<VarName>, ov: &mut Overlay<'_>| {
+            self.descend(i + 1, b, t, ov, walk)
+        };
+        let (types, view) = (&self.rule.var_types, &self.view);
+        match_term(pat, value, binding, trail, types, view, ov, next)
+    }
+
+    /// The state of op `i`, built on the first call.
+    fn state(&self, i: usize, ov: &mut Overlay<'_>) -> Result<&OpState<'v>> {
+        if let Some(state) = self.state[i].get() {
+            return Ok(state);
+        }
+        let state = self.prepare(i, ov)?;
+        Ok(self.state[i].get_or_init(|| state))
+    }
+
+    fn prepare(&self, i: usize, ov: &mut Overlay<'_>) -> Result<OpState<'v>> {
+        let op = &self.ops[i];
+        // Only op 0 is sliced; the delta replaces the extent of the
+        // relation/class scan whose ordinal it names.
+        let slice = self.outer.filter(|_| i == 0);
+        let restrict = self.delta.filter(|&(_, at)| {
+            is_source_scan(op) && self.ops[..i].iter().filter(|op| is_source_scan(op)).count() == at
+        });
+        Ok(match op {
+            Op::Scan {
+                src: Term::Rel(r),
+                probe,
+                ..
+            } => {
+                // Error parity across access paths: an unknown relation is
+                // an error no matter which index (if any) would serve the
+                // scan.
+                let extent = self.view.relation_ids(*r)?;
+                let source = match restrict {
+                    Some((d, _)) => d.rels.get(r),
+                    None => Some(extent),
+                };
+                match probe {
+                    // A full-extent scan probes the frozen instance's
+                    // persistent index for the planner-chosen attribute. A
+                    // probe key the base store has never seen gets an
+                    // overlay-local id, which correctly misses every
+                    // (base-id) index entry. Otherwise the index is built
+                    // over the candidates.
+                    Some((attr, _)) => OpState::Probe(match self.view.rel_index(*r, *attr) {
+                        Some(index) if slice.is_none() && restrict.is_none() => {
+                            Cow::Borrowed(index)
+                        }
+                        _ => Cow::Owned(AttrIndex::build(
+                            *attr,
+                            scan_candidates(source, slice).into_iter(),
+                            &*ov,
+                        )),
+                    }),
+                    None => OpState::Values(scan_candidates(source, slice)),
+                }
+            }
+            Op::Scan {
+                src: Term::Class(p),
+                ..
+            } => {
+                let extent = self.view.class(*p)?;
+                let source = match restrict {
+                    Some((d, _)) => d.classes.get(p),
+                    None => Some(extent),
+                };
+                OpState::Oids(scan_candidates(source, slice))
+            }
+            Op::Enumerate { item: (var, ty) } => {
+                let values = self
+                    .inst
+                    .enumerate_type(ty, self.cfg.enum_budget)
+                    .map_err(|e| {
+                        // Surface the variable whose active-domain
+                        // enumeration blew the budget; other model errors
+                        // pass through.
+                        match e {
+                            iql_model::ModelError::EnumerationBudget { budget, ty } => {
+                                IqlError::EnumBudget {
+                                    var: var.clone(),
+                                    ty,
+                                    budget,
+                                }
+                            }
+                            other => IqlError::Model(other),
+                        }
+                    })?;
+                // Intern in enumeration (tree) order — deterministic, and
+                // shared substructure across enumerated values is free.
+                OpState::Values(values.iter().map(|v| ov.intern(v)).collect())
+            }
+            _ => OpState::Stateless,
+        })
+    }
 }
 
 /// `I ⊨ θ lit` for a fully-bound literal. Membership in a relation or
@@ -1856,9 +1969,10 @@ fn literal_satisfied_id<I: ValueInterner>(
 /// `I ⊨ θ̄ head`? (If so, the pair is *not* in the valuation-domain.)
 ///
 /// Fully-bound heads reduce to a single id-set membership probe. With
-/// invention variables, candidate facts are pattern-matched by id; an
-/// overlay-local id on either side proves the value is absent from the
-/// frozen base store, so base-id comparisons stay sound throughout.
+/// invention variables, candidate facts go through [`match_term`] with a
+/// continuation that stops at the first extension; an overlay-local id on
+/// either side proves the value is absent from the frozen base store, so
+/// base-id comparisons stay sound throughout.
 fn head_satisfiable_id<I: ValueInterner>(
     rule: &Rule,
     theta: &IdBinding,
@@ -1866,6 +1980,15 @@ fn head_satisfiable_id<I: ValueInterner>(
     interner: &mut I,
 ) -> bool {
     let no_invention = rule.invention_vars().is_empty();
+    // The matcher restores the binding it extends, so one copy of θ serves
+    // every candidate.
+    let mut scratch: Option<IdBinding> = None;
+    let mut extends = |t: &Term, value: ValueId, interner: &mut I| {
+        let b = scratch.get_or_insert_with(|| theta.clone());
+        let stop = &mut |_: &mut IdBinding, _: &mut Vec<VarName>, _: &mut I| ControlFlow::Break(());
+        let types = &rule.var_types;
+        match_term(t, value, b, &mut Vec::new(), types, view, interner, stop).is_break()
+    };
     match &rule.head {
         Head::Rel(r, t) => {
             let Ok(facts) = view.relation_ids(*r) else {
@@ -1873,16 +1996,9 @@ fn head_satisfiable_id<I: ValueInterner>(
             };
             if no_invention {
                 // Fully bound head: a set-membership probe suffices.
-                return match eval_term_id(t, theta, view, interner) {
-                    Some(v) => facts.contains(&v),
-                    None => false,
-                };
+                return eval_term_id(t, theta, view, interner).is_some_and(|v| facts.contains(&v));
             }
-            facts.iter().any(|&fid| {
-                let mut b = theta.clone();
-                let mut trail = Vec::new();
-                match_term_extension_id(t, fid, &mut b, &mut trail, view, interner, rule)
-            })
+            facts.iter().any(|&fid| extends(t, fid, interner))
         }
         Head::Class(p, v) => match theta.get(v) {
             Some(&id) => match interner.as_oid(id) {
@@ -1892,161 +2008,47 @@ fn head_satisfiable_id<I: ValueInterner>(
             // Invention variable: satisfied iff some existing oid inhabits P.
             None => view.class(*p).map(|s| !s.is_empty()).unwrap_or(false),
         },
-        Head::SetMember(x, t) => {
-            let candidates: Vec<Oid> = match theta.get(x) {
-                Some(&id) => match interner.as_oid(id) {
-                    Some(o) => vec![o],
-                    None => return false,
-                },
-                None => match rule.var_types.get(x) {
-                    Some(TypeExpr::Class(p)) => view
-                        .class(*p)
-                        .map(|s| s.iter().copied().collect())
-                        .unwrap_or_default(),
-                    _ => return false,
-                },
-            };
-            candidates.iter().any(|o| {
-                let Some(sid) = view.value_id(*o) else {
+        Head::SetMember(x, t) => head_oids(rule, theta, x, view, interner)
+            .into_iter()
+            .any(|o| {
+                let Some(Node::Set(elems)) = view.value_id(o).map(|sid| interner.node(sid)) else {
                     return false;
                 };
-                let elems: Arc<[ValueId]> = match interner.node(sid) {
-                    Node::Set(e) => Arc::clone(e),
-                    _ => return false,
-                };
+                let elems = Arc::clone(elems);
                 if no_invention {
-                    return match eval_term_id(t, theta, view, interner) {
-                        Some(v) => elems.binary_search(&v).is_ok(),
-                        None => false,
-                    };
+                    return eval_term_id(t, theta, view, interner)
+                        .is_some_and(|v| elems.binary_search(&v).is_ok());
                 }
-                elems.iter().any(|&member| {
-                    let mut b = theta.clone();
-                    let mut trail = Vec::new();
-                    match_term_extension_id(t, member, &mut b, &mut trail, view, interner, rule)
-                })
-            })
-        }
-        Head::Assign(x, t) => {
-            let candidates: Vec<Oid> = match theta.get(x) {
-                Some(&id) => match interner.as_oid(id) {
-                    Some(o) => vec![o],
-                    None => return false,
-                },
-                None => match rule.var_types.get(x) {
-                    Some(TypeExpr::Class(p)) => view
-                        .class(*p)
-                        .map(|s| s.iter().copied().collect())
-                        .unwrap_or_default(),
-                    _ => return false,
-                },
-            };
-            candidates.iter().any(|o| match view.value_id(*o) {
-                Some(vid) => {
-                    if no_invention {
-                        return eval_term_id(t, theta, view, interner) == Some(vid);
-                    }
-                    let mut b = theta.clone();
-                    let mut trail = Vec::new();
-                    match_term_extension_id(t, vid, &mut b, &mut trail, view, interner, rule)
-                }
+                elems.iter().any(|&member| extends(t, member, interner))
+            }),
+        Head::Assign(x, t) => head_oids(rule, theta, x, view, interner)
+            .into_iter()
+            .any(|o| match view.value_id(o) {
+                Some(vid) if no_invention => eval_term_id(t, theta, view, interner) == Some(vid),
+                Some(vid) => extends(t, vid, interner),
                 None => false,
-            })
-        }
+            }),
         Head::DeleteRel(..) | Head::DeleteOid(..) | Head::DeleteSetMember(..) => false,
     }
 }
 
-/// Like [`match_term_all_id`], but finds *one* extension, mutating the
-/// binding with trail-based backtracking; unbound variables may only bind
-/// to values of their declared type (extensions assign invention variables
-/// *existing* objects of their class).
-#[allow(clippy::too_many_arguments)]
-fn match_term_extension_id<I: ValueInterner>(
-    pattern: &Term,
-    value: ValueId,
-    binding: &mut IdBinding,
-    trail: &mut Vec<VarName>,
-    view: &IdView<'_>,
-    interner: &mut I,
+/// The objects an `x^` head can write: `θx`, or every existing member of
+/// the class of an invention variable `x`.
+fn head_oids<I: ValueInterner>(
     rule: &Rule,
-) -> bool {
-    match pattern {
-        Term::Var(v) => match binding.get(v) {
-            Some(&bound) => bound == value,
-            None => {
-                // Extension: value must inhabit the variable's type.
-                if let Some(ty) = rule.var_types.get(v) {
-                    if !ty.member_id(value, interner, view) {
-                        return false;
-                    }
-                }
-                binding.insert(v.clone(), value);
-                trail.push(v.clone());
-                true
-            }
-        },
-        Term::Tuple(fields) => {
-            let Node::Tuple(entries) = interner.node(value) else {
-                return false;
-            };
-            if fields.len() != entries.len()
-                || !fields.keys().copied().eq(entries.iter().map(|(a, _)| *a))
-            {
-                return false;
-            }
-            let entries = Arc::clone(entries);
-            let mark = trail.len();
-            for ((_, p), &(_, vid)) in fields.iter().zip(entries.iter()) {
-                if !match_term_extension_id(p, vid, binding, trail, view, interner, rule) {
-                    undo_id(binding, trail, mark);
-                    return false;
-                }
-            }
-            true
-        }
-        Term::Set(pats) => {
-            let Node::Set(vals) = interner.node(value) else {
-                return false;
-            };
-            if pats.len() != vals.len() {
-                return false;
-            }
-            let vals = Arc::clone(vals);
-            #[allow(clippy::too_many_arguments)]
-            fn go<I: ValueInterner>(
-                pats: &[Term],
-                vals: &[ValueId],
-                used: &mut Vec<bool>,
-                binding: &mut IdBinding,
-                trail: &mut Vec<VarName>,
-                view: &IdView<'_>,
-                interner: &mut I,
-                rule: &Rule,
-            ) -> bool {
-                let Some(p) = pats.first() else { return true };
-                for (i, &v) in vals.iter().enumerate() {
-                    if used[i] {
-                        continue;
-                    }
-                    let mark = trail.len();
-                    if match_term_extension_id(p, v, binding, trail, view, interner, rule) {
-                        used[i] = true;
-                        if go(&pats[1..], vals, used, binding, trail, view, interner, rule) {
-                            return true;
-                        }
-                        used[i] = false;
-                    }
-                    undo_id(binding, trail, mark);
-                }
-                false
-            }
-            let mut used = vec![false; vals.len()];
-            go(pats, &vals, &mut used, binding, trail, view, interner, rule)
-        }
-        other => match eval_term_id(other, binding, view, interner) {
-            Some(v) => v == value,
-            None => false,
+    theta: &IdBinding,
+    x: &VarName,
+    view: &IdView<'_>,
+    interner: &I,
+) -> Vec<Oid> {
+    match theta.get(x) {
+        Some(&id) => interner.as_oid(id).into_iter().collect(),
+        None => match rule.var_types.get(x) {
+            Some(TypeExpr::Class(p)) => view
+                .class(*p)
+                .map(|s| s.iter().copied().collect())
+                .unwrap_or_default(),
+            _ => Vec::new(),
         },
     }
 }
@@ -2334,29 +2336,39 @@ mod tests {
         let pattern = Term::set([Term::var("x"), Term::var("y")]);
         let (store, view) = input.store_and_view();
         let value = store.intern(&OValue::set([OValue::int(1), OValue::int(2)]));
-        let mut out = Vec::new();
-        match_term_all_id(
-            &pattern,
-            value,
-            &IdBinding::new(),
-            &BTreeMap::new(),
-            &view,
-            store,
-            &mut out,
+        let types = BTreeMap::new();
+        let matches = |value, store: &mut ValueStore, stop: bool| {
+            let (mut binding, mut trail, mut seen) = (IdBinding::new(), Vec::new(), Vec::new());
+            let flow = match_term(
+                &pattern,
+                value,
+                &mut binding,
+                &mut trail,
+                &types,
+                &view,
+                store,
+                &mut |b: &mut IdBinding, _: &mut Vec<VarName>, _: &mut ValueStore| {
+                    seen.push(b.clone());
+                    if stop {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            assert!(binding.is_empty() && trail.is_empty(), "binding restored");
+            assert_eq!(flow.is_break(), stop && !seen.is_empty());
+            seen
+        };
+        assert_eq!(
+            matches(value, store, false).len(),
+            2,
+            "both bijections are produced"
         );
-        assert_eq!(out.len(), 2, "both bijections are produced");
+        // A continuation that stops sees exactly one extension.
+        assert_eq!(matches(value, store, true).len(), 1);
         // Size mismatch → no match.
         let single = store.intern(&OValue::set([OValue::int(1)]));
-        let mut out2 = Vec::new();
-        match_term_all_id(
-            &pattern,
-            single,
-            &IdBinding::new(),
-            &BTreeMap::new(),
-            &view,
-            store,
-            &mut out2,
-        );
-        assert!(out2.is_empty());
+        assert!(matches(single, store, false).is_empty());
     }
 }

@@ -28,9 +28,7 @@ use crate::interned::{with_id_tuple, CId, ColIndex, ConstPool, DbStats, IdDataba
 use crate::stratify::stratify;
 use crate::{DlError, Result};
 use iql_core::govern::{AbortReason, Governor, Pacer};
-use iql_exec::{
-    choose_probe, effective_threads, rule_delta_supported, run_tasks, PhysOp, PlanLang,
-};
+use iql_exec::{choose_probe, effective_threads, run_tasks, PhysOp, PlanLang};
 use iql_model::Constant;
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -607,26 +605,20 @@ fn ensure_probe_indexes(rules: &[CompiledRule<'_>], db: &IdDatabase) {
 /// Does every positive source of the (optionally differentiated) rule hold
 /// at least one tuple? The join is a nested product over its positive
 /// atoms, so a single empty or missing source makes the whole task a no-op
-/// — the fixpoint loops skip such tasks before spawning them. De Morgan
-/// over the shared runtime's any-source quantifier
-/// ([`iql_exec::rule_delta_supported`]): "every source non-empty" is "no
-/// source empty". (A rule with no positive atoms vacuously qualifies and
-/// still fires once.)
+/// — the fixpoint loops skip such tasks before spawning them. (A rule with
+/// no positive atoms vacuously qualifies and still fires once.)
 fn rule_supported(
     rule: &CompiledRule<'_>,
     read: &IdDatabase,
     delta: Option<(&IdDatabase, usize)>,
 ) -> bool {
-    !rule_delta_supported(
-        rule.positives.iter().map(|(i, atom)| (*i, atom)),
-        |&(i, atom)| {
-            let source = match delta {
-                Some((d, at)) if at == i => d,
-                _ => read,
-            };
-            source.relation(atom.rel).is_none_or(IdRelation::is_empty)
-        },
-    )
+    rule.positives.iter().all(|(i, atom)| {
+        let source = match delta {
+            Some((d, at)) if at == *i => d,
+            _ => read,
+        };
+        source.relation(atom.rel).is_some_and(|r| !r.is_empty())
+    })
 }
 
 /// Evaluates `prog` on `edb` under the chosen [`Strategy`] — the unified

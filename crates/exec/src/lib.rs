@@ -16,20 +16,20 @@
 //! * [`driver`] — the worker-pool driver: a fixed task list executed by a
 //!   scoped pool with slot-per-task collection, so results merge in task
 //!   order regardless of thread count ([`driver::run_tasks`]);
-//! * [`delta`] — the semi-naive delta-intersection early exit shared by
-//!   both engines ([`delta::rule_delta_supported`]);
 //! * [`govern`] — the resource governor: budgets, deadline, cancellation,
 //!   and the strided [`govern::Pacer`] workers poll mid-task.
+//!
+//! Each engine keeps its own semi-naive early exit, one quantifier over its
+//! sources: IQL runs a rule when *any* scan source gained facts, Datalog
+//! when *all* its positive sources are non-empty.
 //!
 //! The crate depends on nothing (not even the data model): operand types,
 //! tuple representations, and error types are all supplied by the engines.
 
-pub mod delta;
 pub mod driver;
 pub mod govern;
 pub mod ir;
 
-pub use delta::rule_delta_supported;
 pub use driver::{chunk_ranges, effective_threads, run_tasks};
 pub use govern::{AbortReason, Governor, Pacer};
 pub use ir::{choose_probe, PhysOp, PlanLang, Storage};
