@@ -458,22 +458,6 @@ pub fn run_governed(prog: &Program, input: &Instance, cfg: &EvalConfig) -> Resul
     }
 }
 
-/// Runs one stage to its inflationary fixpoint. All-or-nothing: a tripped
-/// limit surfaces as a hard error (a fresh [`Governor`] is resolved from
-/// `cfg`, so the deadline clock starts here).
-pub fn run_stage(
-    stage: &Stage,
-    work: &mut Instance,
-    cfg: &EvalConfig,
-    report: &mut EvalReport,
-) -> Result<()> {
-    let gov = governor_from_config(cfg);
-    match run_stage_governed(stage, work, cfg, &gov, report)? {
-        None => Ok(()),
-        Some(reason) => Err(reason.into()),
-    }
-}
-
 /// Runs one stage to its inflationary fixpoint under `gov`, returning
 /// `Ok(Some(reason))` on a resource trip with `work` left at the last
 /// consistent snapshot (the deterministic budgets are checked at step

@@ -1,5 +1,5 @@
-//! Cost-based join planning for rule bodies, lowering to the shared
-//! physical-plan IR.
+//! Cost-based join planning for rule bodies, lowering to IQL's operator
+//! program.
 //!
 //! The evaluator originally executed body literals in *textual* order (the
 //! syntactic plan of [`build_plan`], still the fallback and the ablation
@@ -9,17 +9,20 @@
 //! relation scan gets a statically chosen probe attribute backed by the
 //! instance's persistent secondary indexes ([`iql_model::RelIndexes`]).
 //!
-//! Plans are programs of [`iql_exec::PhysOp`] operators instantiated at
-//! [`IqlLang`] — the execution runtime owns the operator vocabulary and its
-//! invariants, this module owns what the operands *mean* in IQL (terms,
-//! literals, attribute probes) and how a rule body lowers into them. Probe
-//! selection goes through the runtime's one shared policy
-//! ([`iql_exec::choose_probe`]) over the instance's [`iql_exec::Storage`]
-//! statistics view.
+//! A plan is a short program of [`Op`]s — scans (optionally index-probed),
+//! bind-equalities, active-domain enumerations, filters and negation
+//! guards — executed left to right by the evaluator's depth-first search.
+//! Operands borrow the rule's own terms and literals. Plans keep two
+//! invariants the executor relies on: operators appear in binding order
+//! (an operand is evaluable once the operators before it have bound its
+//! variables), and every positive membership stays an [`Op::Scan`] — never
+//! a filter — so each supporting source keeps a semi-naive delta position.
+//! Probe selection goes through the runtime's one shared policy
+//! ([`iql_exec::choose_probe`]) over the instance's distinct-key counts.
 //!
 //! The planner is a **pure optimization**: it never changes the set of
 //! valuations a body produces (conjunction is order-independent, and every
-//! positive relation/class member stays a [`PhysOp::Scan`] so semi-naive
+//! positive relation/class member stays an [`Op::Scan`] so semi-naive
 //! delta positions keep covering all supporting facts), and the evaluator's
 //! merge phase canonicalizes fire order wherever order is observable (oid
 //! invention, deletions) — see DESIGN.md, "Execution runtime". Plans that
@@ -36,26 +39,36 @@
 use crate::ast::{Literal, Rule, Term, VarName};
 use crate::error::{IqlError, Result};
 use crate::eval::EvalConfig;
-use iql_exec::{choose_probe, PhysOp, PlanLang};
+use iql_exec::choose_probe;
 use iql_model::{AttrName, ClassName, Instance, RelName, TypeExpr};
 use std::collections::BTreeSet;
-use std::marker::PhantomData;
 
-/// The IQL instantiation of the shared plan IR: scan sources and match
-/// patterns are terms borrowed from the rule, probes pair an indexed
-/// attribute with the term producing the key, and guards are body literals.
-pub(crate) struct IqlLang<'a>(PhantomData<&'a ()>);
-
-impl<'a> PlanLang for IqlLang<'a> {
-    type Src = &'a Term;
-    type Pat = &'a Term;
-    type Col = (AttrName, &'a Term);
-    type Guard = &'a Literal;
-    type Enum = (VarName, TypeExpr);
+/// One step of a rule body's execution plan. A plan is a `Vec<Op>`
+/// executed left to right over a growing variable binding.
+pub(crate) enum Op<'a> {
+    /// Iterate the members of the set-denoting term `src`, matching `pat`
+    /// against each (binds variables). `probe` narrows the iteration to an
+    /// index lookup — the indexed attribute and the term producing the
+    /// key — when the planner found a fully-bound tuple field.
+    Scan {
+        src: &'a Term,
+        pat: &'a Term,
+        probe: Option<(AttrName, &'a Term)>,
+    },
+    /// Evaluate `src` (fully bound) and match `pat` against the single
+    /// resulting value (binds variables) — an equality used as a binder.
+    BindEq { src: &'a Term, pat: &'a Term },
+    /// Enumerate a variable's type over the active domain (the paper's
+    /// valuation semantics; a budgeted last resort).
+    Enumerate { item: (VarName, TypeExpr) },
+    /// A positive guard over fully-bound operands: keep the binding iff
+    /// the literal holds.
+    Filter { guard: &'a Literal },
+    /// A negated literal over fully-bound operands: keep the binding iff
+    /// it holds. Kept apart from [`Op::Filter`] because negation must run
+    /// under full bindings and never earns a delta position.
+    NegGuard { guard: &'a Literal },
 }
-
-/// An execution plan step for one rule body.
-pub(crate) type Op<'a> = PhysOp<IqlLang<'a>>;
 
 /// The source a relation/class scan draws from — what a semi-naive delta
 /// position restricts, and what the empty-delta early exit inspects.
@@ -76,7 +89,7 @@ pub(crate) struct RulePlan<'a> {
     pub ops: Vec<Op<'a>>,
     /// Did cost-based ordering change anything vs. the syntactic plan?
     pub reordered: bool,
-    /// Number of [`PhysOp::Enumerate`] fallbacks in the plan.
+    /// Number of [`Op::Enumerate`] fallbacks in the plan.
     pub enum_fallbacks: usize,
     /// Relation/class scans in op order — the semi-naive delta positions.
     pub sources: Vec<PlanSource>,
@@ -104,7 +117,7 @@ fn lit_bound(lit: &Literal, bound: &BTreeSet<VarName>) -> bool {
 
 /// Builds the *syntactic* execution plan for a rule body: orders literals so
 /// variables are bound before use, preferring textual order among joins
-/// sharing the most bound variables, inserting [`PhysOp::Enumerate`]
+/// sharing the most bound variables, inserting [`Op::Enumerate`]
 /// fallbacks where no positive literal can bind a variable (the paper's
 /// active-domain valuation semantics). This is the planner-off baseline and
 /// what `explain` renders.
@@ -200,10 +213,10 @@ pub(crate) fn build_plan(rule: &Rule) -> Result<Vec<Op<'_>>> {
 
 /// Appends a picked literal to the plan as the op its bound-state calls for,
 /// extending `bound` with whatever the op binds. Positive members always
-/// become [`PhysOp::Scan`]s — never guards — so every supporting fact stays
+/// become [`Op::Scan`]s — never guards — so every supporting fact stays
 /// coverable by a semi-naive delta position; negated literals become
-/// [`PhysOp::NegGuard`]s, everything else fully bound (`choose`) a
-/// [`PhysOp::Filter`].
+/// [`Op::NegGuard`]s, everything else fully bound (`choose`) an
+/// [`Op::Filter`].
 fn push_picked<'a>(lit: &'a Literal, bound: &mut BTreeSet<VarName>, plan: &mut Vec<Op<'a>>) {
     match lit {
         Literal::Member {
@@ -411,8 +424,12 @@ fn choose_probes(ops: &mut [Op<'_>], work: &mut Instance) {
             for (attr, _) in &candidates {
                 work.ensure_rel_index(*r, *attr);
             }
-            let chosen = choose_probe(&work.stats(), *r, candidates.iter().map(|(a, _)| *a));
-            *probe = chosen.and_then(|attr| candidates.iter().find(|(a, _)| *a == attr).copied());
+            let stats = work.stats();
+            *probe = choose_probe(
+                candidates
+                    .into_iter()
+                    .map(|(attr, t)| ((attr, t), stats.attr_distinct(*r, attr))),
+            );
         }
         match op {
             Op::Scan { src, pat, .. } => {

@@ -1,35 +1,40 @@
 //! Bottom-up evaluation: naive, semi-naive, inflationary ¬, stratified ¬.
 //!
-//! The join is a left-to-right nested-loop with hash-index probes: for
-//! each atom, the planner picks among its bound columns the one whose
+//! A rule's join is a left-to-right nested loop over its positive atoms
+//! with hash-index probes: for each atom, the shared probe policy
+//! ([`iql_exec::choose_probe`]) picks among its bound columns the one whose
 //! incremental index has the most distinct values (the narrowest expected
 //! postings) — the standard workhorse plan for bottom-up Datalog, with a
-//! cost-based probe choice on top. Semi-naive evaluation differentiates
-//! rules: each round
-//! evaluates, for every occurrence of a derived atom, the body with that
-//! occurrence restricted to the previous round's delta (Balbin–Ramamohanarao
-//! style), which is where the asymptotic win over naive evaluation — and
-//! over IQL's naive inflationary evaluator — comes from (experiment E11).
+//! cost-based probe choice on top. Once every positive atom has matched,
+//! the negative atoms are checked in order and the head is emitted.
+//!
+//! All four strategies run one fixpoint loop. Naive and inflationary
+//! evaluation run full rounds: every rule against the whole database.
+//! Semi-naive evaluation, alone or per stratum, differentiates rules: after
+//! the first round, each round evaluates, for every occurrence of a
+//! derived atom, the body with that occurrence restricted to the previous
+//! round's delta (Balbin–Ramamohanarao style), which is where the
+//! asymptotic win over naive evaluation — and over IQL's naive inflationary
+//! evaluator — comes from (experiment E11).
 //!
 //! A [`Database`] stores only interned data (the private `interned`
 //! module), so an `eval` call converts nothing: it starts from an
 //! O(#relations) copy-on-write fork of its input, interns the program's
 //! constants into the fork's pool and compiles every rule once — variables
 //! to dense substitution slots, constants to `CId`s — so the join matches,
-//! probes, and hashes `u32` ids instead of [`Constant`]s, and probes hit
-//! the relations' incremental per-column indexes (ensured ahead of each
-//! round, maintained by every insert) with no per-round rebuild. The fork
-//! is returned as the output: relations the run never writes stay shared
-//! with the input, and a relation is resolved back to constants only when
-//! the caller reads it.
+//! probes, and hashes `u32` ids instead of constants, and probes hit the
+//! relations' incremental per-column indexes (ensured ahead of each round,
+//! maintained by every insert) with no per-round rebuild. The fork is
+//! returned as the output: relations the run never writes stay shared with
+//! the input, and a relation is resolved back to constants only when the
+//! caller reads it.
 
-use crate::ast::{Atom, Database, DlTerm, Program, Rule, Tuple};
-use crate::interned::{with_id_tuple, CId, ColIndex, ConstPool, DbStats, IdDatabase, IdRelation};
+use crate::ast::{Atom, Database, DlTerm, Program, Rule};
+use crate::interned::{with_id_tuple, CId, ColIndex, ConstPool, IdDatabase, IdRelation};
 use crate::stratify::stratify;
 use crate::{DlError, Result};
 use iql_core::govern::{AbortReason, Governor, Pacer};
-use iql_exec::{choose_probe, effective_threads, run_tasks, PhysOp, PlanLang};
-use iql_model::Constant;
+use iql_exec::{choose_probe, effective_threads, run_tasks};
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -109,32 +114,12 @@ struct CAtom<'r> {
     args: Vec<ArgSpec>,
 }
 
-/// The Datalog instantiation of the shared physical-plan IR
-/// ([`iql_exec::PlanLang`]): scan sources and match patterns are indices
-/// into the rule's positive-atom list, guards are indices into its
-/// negative-atom list, probe descriptors are tuple columns. The static
-/// plan leaves every probe unresolved (`None`): relation statistics change
-/// each round as tuples accrete, so the executor resolves each scan's
-/// probe column against live statistics through
-/// [`iql_exec::choose_probe`] — unlike IQL, whose plans are epoch-cached
-/// with probes resolved at plan time.
-struct DlLang;
-
-impl PlanLang for DlLang {
-    type Src = usize;
-    type Pat = usize;
-    type Col = usize;
-    type Guard = usize;
-    type Enum = std::convert::Infallible;
-}
-
-/// A Datalog physical operator.
-type DlOp = PhysOp<DlLang>;
-
 /// A rule compiled against a [`ConstPool`]: variables renamed to dense
 /// slots (the substitution is a flat `Vec<Option<CId>>`, not a string-keyed
-/// map), constants interned, positives/negatives pre-split, and the body
-/// lowered once onto the shared physical-plan IR.
+/// map), constants interned, and positives/negatives pre-split. The
+/// executor walks the positive atoms in body order, then checks the
+/// negative atoms in body order (safety bounds their variables only once
+/// every positive has matched).
 struct CompiledRule<'r> {
     head_rel: &'r str,
     head: Vec<ArgSpec>,
@@ -143,11 +128,6 @@ struct CompiledRule<'r> {
     positives: Vec<(usize, CAtom<'r>)>,
     negatives: Vec<CAtom<'r>>,
     nslots: usize,
-    /// The lowered plan the executor walks: one [`PhysOp::Scan`] per
-    /// positive atom in body order (each keeps its semi-naive delta
-    /// position), then one [`PhysOp::NegGuard`] per negative atom (safety
-    /// bounds their variables only once every positive has matched).
-    ops: Vec<DlOp>,
     /// Probe-candidate columns of each positive atom: the argument
     /// positions holding a constant or a variable bound by an earlier
     /// atom, in ascending column order. A static property of the atom
@@ -195,14 +175,13 @@ fn compile_rule<'r>(rule: &'r Rule, pool: &mut ConstPool) -> CompiledRule<'r> {
         .collect();
     let head = compile_atom(&rule.head, pool, &mut slots);
     let nslots = slots.len();
-    let (ops, probe_cands) = lower_body(&positives, &negatives, nslots);
+    let probe_cands = probe_candidates(&positives, nslots);
     CompiledRule {
         head_rel: head.rel,
         head: head.args,
         positives,
         negatives,
         nslots,
-        ops,
         probe_cands,
     }
 }
@@ -211,16 +190,11 @@ fn compile_rules<'r>(rules: &'r [Rule], pool: &mut ConstPool) -> Vec<CompiledRul
     rules.iter().map(|r| compile_rule(r, pool)).collect()
 }
 
-/// Lowers a compiled body onto the shared IR: scans in body order, then
-/// negation guards. Alongside the plan, precomputes each scan's probe
-/// candidates — the columns whose argument is a constant or a variable
-/// bound by an earlier atom, exactly what [`ensure_probe_indexes`] builds
-/// indexes for and [`iql_exec::choose_probe`] ranks at execution time.
-fn lower_body(
-    positives: &[(usize, CAtom<'_>)],
-    negatives: &[CAtom<'_>],
-    nslots: usize,
-) -> (Vec<DlOp>, Vec<Vec<usize>>) {
+/// Each positive atom's probe candidates: the columns whose argument is a
+/// constant or a variable bound by an earlier atom — exactly what
+/// [`ensure_probe_indexes`] builds indexes for and [`iql_exec::choose_probe`]
+/// ranks at execution time.
+fn probe_candidates(positives: &[(usize, CAtom<'_>)], nslots: usize) -> Vec<Vec<usize>> {
     let mut bound = vec![false; nslots];
     let mut probe_cands = Vec::with_capacity(positives.len());
     for (_, atom) in positives {
@@ -241,15 +215,7 @@ fn lower_body(
         }
         probe_cands.push(cands);
     }
-    let ops = (0..positives.len())
-        .map(|i| DlOp::Scan {
-            src: i,
-            pat: i,
-            probe: None,
-        })
-        .chain((0..negatives.len()).map(|j| DlOp::NegGuard { guard: j }))
-        .collect();
-    (ops, probe_cands)
+    probe_cands
 }
 
 fn arg_value(a: &ArgSpec, subst: &[Option<CId>]) -> Option<CId> {
@@ -314,16 +280,99 @@ impl Derived {
     }
 }
 
+/// The database positive atom `body_idx` reads: `delta` when the atom is
+/// the differentiated one, `read` otherwise.
+fn atom_source<'d>(
+    read: &'d IdDatabase,
+    delta: Option<(&'d IdDatabase, usize)>,
+    body_idx: usize,
+) -> &'d IdDatabase {
+    match delta {
+        Some((d, at)) if at == body_idx => d,
+        _ => read,
+    }
+}
+
+/// One positive atom's access plan, resolved once per rule evaluation
+/// against the round's live statistics: the relation it scans and, if it
+/// has a bound column, the probed column with its index.
+struct AtomPlan<'d> {
+    rel: &'d IdRelation,
+    probe: Option<(usize, &'d ColIndex)>,
+}
+
+/// The depth-first join of one rule: its positive atoms' access plans,
+/// one mutable substitution with a trail for unwinding, and the head
+/// tuples derived so far.
+struct Walk<'a, 'r> {
+    rule: &'a CompiledRule<'r>,
+    plans: Vec<AtomPlan<'a>>,
+    neg_view: &'a IdDatabase,
+    gov: &'a Governor,
+    pacer: Pacer,
+    subst: Vec<Option<CId>>,
+    touched: Vec<u32>,
+    out: &'a mut Derived,
+}
+
+impl Walk<'_, '_> {
+    /// Matches positive atom `k` and everything after it. Past the last
+    /// positive atom, safety has bound every variable: the negative atoms
+    /// are checked in order against `neg_view`, and the head is emitted.
+    ///
+    /// The governor's asynchronous signals (deadline, cancellation) are
+    /// polled once per [`Pacer::STRIDE`] candidate tuples, so a join that
+    /// would run for minutes stops mid-nested-loop.
+    fn descend(&mut self, k: usize) -> std::result::Result<(), AbortReason> {
+        let rule = self.rule;
+        let Some(&AtomPlan { rel, probe }) = self.plans.get(k) else {
+            let (subst, neg_view) = (&self.subst, self.neg_view);
+            for neg in &rule.negatives {
+                let args = neg.args.iter().map(|a| arg_value(a, subst));
+                let blocked = with_id_tuple(args, |t| {
+                    neg_view.relation(neg.rel).is_some_and(|r| r.contains(t))
+                });
+                if blocked != Some(false) {
+                    return Ok(());
+                }
+            }
+            self.out.ids.extend(
+                rule.head
+                    .iter()
+                    .map(|a| arg_value(a, subst).expect("safety: head vars bound")),
+            );
+            self.out.count += 1;
+            return Ok(());
+        };
+        let atom = &rule.positives[k].1;
+        let probe = probe.map(|(col, idx)| {
+            let key = arg_value(&atom.args[col], &self.subst);
+            (idx, key.expect("probe columns are bound by earlier atoms"))
+        });
+        for pos in rel.positions(probe) {
+            if let Some(reason) = self.pacer.tick(self.gov) {
+                return Err(reason);
+            }
+            let mark = self.touched.len();
+            if match_tuple(atom, rel.tuple_at(pos), &mut self.subst, &mut self.touched) {
+                self.descend(k + 1)?;
+            }
+            unwind(&mut self.subst, &mut self.touched, mark);
+        }
+        Ok(())
+    }
+}
+
 /// Joins the positive body atoms left to right over `read`, with atom
 /// `delta_at` (if any) reading from `delta` instead. Negative literals are
-/// checked against `neg_view` once all variables are bound (safety
-/// guarantees boundness). Appends the head of each satisfying substitution
-/// to `out`.
+/// checked against `neg_view` once all variables are bound. Appends the
+/// head of each satisfying substitution to `out`; `Err(reason)` abandons
+/// the task's output wholesale.
 ///
-/// The governor's asynchronous signals (deadline, cancellation) are polled
-/// once per [`Pacer::STRIDE`] candidate tuples, so a join that would run
-/// for minutes stops mid-nested-loop; `Err(reason)` abandons the task's
-/// output wholesale.
+/// Each atom's probe column is the shared policy's pick
+/// ([`iql_exec::choose_probe`]) among its static candidates: the one whose
+/// incremental index has the most distinct values (the narrowest expected
+/// postings). Every candidate's index was ensured before the round.
 fn join_rule(
     rule: &CompiledRule<'_>,
     read: &IdDatabase,
@@ -332,215 +381,31 @@ fn join_rule(
     gov: &Governor,
     out: &mut Derived,
 ) -> std::result::Result<(), AbortReason> {
-    /// A probe index: the relation's incremental index, borrowed, or an
-    /// ad-hoc one built for a column no ensure pass saw.
-    enum Probe<'d> {
-        Borrowed(&'d ColIndex),
-        Built(ColIndex),
-    }
-    impl Probe<'_> {
-        fn index(&self) -> &ColIndex {
-            match self {
-                Probe::Borrowed(idx) => idx,
-                Probe::Built(idx) => idx,
-            }
-        }
-    }
-    // Per-scan access plans, resolved ONCE per rule evaluation against the
-    // round's live statistics. The probe candidates of each scan are
-    // static (precomputed by [`lower_body`]); among them the shared policy
-    // picks the column with the most distinct values (narrowest expected
-    // postings), known for free from the relations' built incremental
-    // indexes. A candidate whose index was never ensured counts as zero
-    // distinct and is only used when no candidate has a built index; its
-    // index is then hashed here once (u32 keys) instead of per partial
-    // substitution.
-    struct AtomPlan<'d> {
-        rel: &'d IdRelation,
-        probe: Option<(usize, Probe<'d>)>,
-    }
-    let mut plans: Vec<Option<AtomPlan>> = Vec::with_capacity(rule.positives.len());
-    for ((body_idx, atom), cands) in rule.positives.iter().zip(&rule.probe_cands) {
-        let source = match delta {
-            Some((d, at)) if at == *body_idx => d,
-            _ => read,
-        };
-        let plan = source.relation(atom.rel).map(|rel| {
-            let probe_col = choose_probe(&DbStats(source), atom.rel, cands.iter().copied());
-            let probe = probe_col.map(|col| {
-                let idx = match rel.index(col) {
-                    Some(m) => Probe::Borrowed(m),
-                    None => Probe::Built(rel.build_index(col)),
-                };
-                (col, idx)
-            });
-            AtomPlan { rel, probe }
-        });
-        plans.push(plan);
-    }
-
-    // The executor proper: walk the lowered plan left to right, one
-    // operator per recursion level, over a single mutable substitution
-    // with trail-based unwinding.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        rule: &CompiledRule<'_>,
-        plans: &[Option<AtomPlan>],
-        k: usize,
-        subst: &mut [Option<CId>],
-        touched: &mut Vec<u32>,
-        neg_view: &IdDatabase,
-        gov: &Governor,
-        pacer: &mut Pacer,
-        out: &mut Derived,
-    ) -> std::result::Result<(), AbortReason> {
-        let Some(op) = rule.ops.get(k) else {
-            // Every operator satisfied: emit the head.
-            out.ids.extend(
-                rule.head
-                    .iter()
-                    .map(|a| arg_value(a, subst).expect("safety: head vars bound")),
-            );
-            out.count += 1;
-            return Ok(());
-        };
-        match op {
-            DlOp::Scan { src, .. } => {
-                let atom = &rule.positives[*src].1;
-                let Some(plan) = &plans[*src] else {
-                    return Ok(());
-                };
-                match &plan.probe {
-                    Some((col, idx)) => {
-                        let Some(key) = arg_value(&atom.args[*col], subst) else {
-                            return Ok(());
-                        };
-                        for pos in idx.index().postings(key) {
-                            if let Some(reason) = pacer.tick(gov) {
-                                return Err(reason);
-                            }
-                            let mark = touched.len();
-                            if match_tuple(atom, plan.rel.tuple_at(pos), subst, touched) {
-                                recurse(
-                                    rule,
-                                    plans,
-                                    k + 1,
-                                    subst,
-                                    touched,
-                                    neg_view,
-                                    gov,
-                                    pacer,
-                                    out,
-                                )?;
-                            }
-                            unwind(subst, touched, mark);
-                        }
-                    }
-                    None => {
-                        for tuple in plan.rel.iter() {
-                            if let Some(reason) = pacer.tick(gov) {
-                                return Err(reason);
-                            }
-                            let mark = touched.len();
-                            if match_tuple(atom, tuple, subst, touched) {
-                                recurse(
-                                    rule,
-                                    plans,
-                                    k + 1,
-                                    subst,
-                                    touched,
-                                    neg_view,
-                                    gov,
-                                    pacer,
-                                    out,
-                                )?;
-                            }
-                            unwind(subst, touched, mark);
-                        }
-                    }
-                }
-                Ok(())
-            }
-            DlOp::NegGuard { guard } => {
-                let neg = &rule.negatives[*guard];
-                let blocked = with_id_tuple(neg.args.iter().map(|a| arg_value(a, subst)), |t| {
-                    neg_view.relation(neg.rel).is_some_and(|r| r.contains(t))
-                });
-                if blocked != Some(false) {
-                    return Ok(());
-                }
-                recurse(
-                    rule,
-                    plans,
-                    k + 1,
-                    subst,
-                    touched,
-                    neg_view,
-                    gov,
-                    pacer,
-                    out,
-                )
-            }
-            // Range-restricted rules over stored relations never lower to
-            // the remaining operator kinds.
-            DlOp::Enumerate { item } => match *item {},
-            DlOp::BindEq { .. } | DlOp::Filter { .. } => {
-                unreachable!("datalog lowering emits only scans and negation guards")
-            }
-        }
-    }
-    let mut subst = vec![None; rule.nslots];
-    let mut touched = Vec::new();
-    let mut pacer = Pacer::new(gov);
-    recurse(
+    let plans: Option<Vec<AtomPlan>> = rule
+        .positives
+        .iter()
+        .zip(&rule.probe_cands)
+        .map(|((body_idx, atom), cands)| {
+            let rel = atom_source(read, delta, *body_idx).relation(atom.rel)?;
+            let probe = choose_probe(cands.iter().map(|&col| (col, rel.distinct(col))))
+                .map(|col| (col, rel.index(col).expect("indexed before the round")));
+            Some(AtomPlan { rel, probe })
+        })
+        .collect();
+    let Some(plans) = plans else {
+        return Ok(()); // a missing source: the product is empty
+    };
+    Walk {
         rule,
-        &plans,
-        0,
-        &mut subst,
-        &mut touched,
+        plans,
         neg_view,
         gov,
-        &mut pacer,
+        pacer: Pacer::new(gov),
+        subst: vec![None; rule.nslots],
+        touched: Vec::new(),
         out,
-    )
-}
-
-/// Answers a single-atom query against a database: all substitutions of
-/// the atom's variables matched by stored tuples, as result tuples in
-/// variable-occurrence order. A one-shot scan over the relation's
-/// constant view (built on first read and cached by the database).
-pub fn query(db: &Database, atom: &Atom) -> Vec<Tuple> {
-    let Some(rel) = db.relation(&atom.rel) else {
-        return Vec::new();
-    };
-    let mut vars: Vec<&str> = Vec::new();
-    for t in &atom.args {
-        if let DlTerm::Var(v) = t {
-            if !vars.contains(&v.as_str()) {
-                vars.push(v);
-            }
-        }
     }
-    let mut out = Vec::new();
-    for tuple in rel.iter() {
-        let mut subst: HashMap<&str, &Constant> = HashMap::new();
-        let ok = atom.args.iter().zip(tuple.iter()).all(|(t, c)| match t {
-            DlTerm::Const(k) => k == c,
-            DlTerm::Var(v) => match subst.get(v.as_str()) {
-                Some(bound) => *bound == c,
-                None => {
-                    subst.insert(v, c);
-                    true
-                }
-            },
-        });
-        if ok {
-            out.push(vars.iter().map(|v| subst[*v].clone()).collect());
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
+    .descend(0)
 }
 
 /// One rule evaluation (optionally differentiated) — the unit of parallel
@@ -587,11 +452,11 @@ impl JoinTask<'_, '_> {
 }
 
 /// Ensures every statically probe-able column of every rule has a built
-/// incremental index in `db` — exactly the probe candidates [`lower_body`]
-/// precomputed and [`join_rule`] ranks by distinct count. Cheap after the
-/// first round (a map lookup per column); new relations created by later
-/// rounds get their indexes built here and maintained by inserts from then
-/// on.
+/// incremental index in `db` — exactly the probe candidates
+/// [`probe_candidates`] precomputed and [`join_rule`] ranks by distinct
+/// count. Cheap after the first round (a map lookup per column); new
+/// relations created by later rounds get their indexes built here and
+/// maintained by inserts from then on.
 fn ensure_probe_indexes(rules: &[CompiledRule<'_>], db: &IdDatabase) {
     for rule in rules {
         for ((_, atom), cands) in rule.positives.iter().zip(&rule.probe_cands) {
@@ -605,7 +470,7 @@ fn ensure_probe_indexes(rules: &[CompiledRule<'_>], db: &IdDatabase) {
 /// Does every positive source of the (optionally differentiated) rule hold
 /// at least one tuple? The join is a nested product over its positive
 /// atoms, so a single empty or missing source makes the whole task a no-op
-/// — the fixpoint loops skip such tasks before spawning them. (A rule with
+/// — the fixpoint loop skips such tasks before spawning them. (A rule with
 /// no positive atoms vacuously qualifies and still fires once.)
 fn rule_supported(
     rule: &CompiledRule<'_>,
@@ -613,11 +478,9 @@ fn rule_supported(
     delta: Option<(&IdDatabase, usize)>,
 ) -> bool {
     rule.positives.iter().all(|(i, atom)| {
-        let source = match delta {
-            Some((d, at)) if at == *i => d,
-            _ => read,
-        };
-        source.relation(atom.rel).is_some_and(|r| !r.is_empty())
+        atom_source(read, delta, *i)
+            .relation(atom.rel)
+            .is_some_and(|r| !r.is_empty())
     })
 }
 
@@ -671,6 +534,9 @@ pub fn eval_with(
 /// `Governor::max_steps`, tuple budget via `max_facts`, wall-clock
 /// deadline, external cancellation token).
 ///
+/// A relation the program uses at a different arity than `edb` stores it
+/// at fails with [`DlError::Arity`] before any round runs.
+///
 /// Degrades gracefully: a trip stops the fixpoint and returns `Ok` with
 /// the last consistent database and [`EvalStats::trip`]` = Some(reason)`.
 /// Round-boundary budgets are deterministic (the same partial database at
@@ -692,22 +558,23 @@ pub fn eval_governed(
     // the pool never grows after compilation.
     let mut out = edb.fork();
     let (pool, db) = out.parts_mut();
+    check_arities(prog, db)?;
     let mut stats = EvalStats {
         threads,
         ..EvalStats::default()
     };
+    if matches!(strategy, Strategy::Naive | Strategy::SemiNaive) {
+        require_positive(prog)?;
+    }
     match strategy {
         Strategy::Naive | Strategy::Inflationary => {
-            if strategy == Strategy::Naive {
-                require_positive(prog)?;
-            }
             let rules = compile_rules(&prog.rules, pool);
-            full_rounds(&rules, db, threads, gov, &mut stats)?;
+            fixpoint(&rules, db, None, threads, gov, &mut stats)?;
         }
         Strategy::SemiNaive => {
-            require_positive(prog)?;
             let rules = compile_rules(&prog.rules, pool);
-            seminaive_stratum(&rules, db, &IdDatabase::new(), threads, gov, &mut stats)?;
+            let no_negation = IdDatabase::new();
+            fixpoint(&rules, db, Some(&no_negation), threads, gov, &mut stats)?;
         }
         Strategy::Stratified => {
             for stratum in &stratify(prog)? {
@@ -721,7 +588,7 @@ pub fn eval_governed(
                     .flat_map(|r| r.negatives.iter().map(|n| n.rel))
                     .collect();
                 let neg_view = db.freeze_view(neg_rels.iter().copied());
-                seminaive_stratum(&rules, db, &neg_view, threads, gov, &mut stats)?;
+                fixpoint(&rules, db, Some(&neg_view), threads, gov, &mut stats)?;
                 if stats.trip.is_some() {
                     // A trip invalidates the "lower strata are complete"
                     // premise of every later stratum — stop here.
@@ -731,6 +598,27 @@ pub fn eval_governed(
         }
     }
     Ok((out, stats))
+}
+
+/// Fails unless every relation the program names is stored in `db` at the
+/// arity the program uses it at, or not at all (an absent or declared but
+/// empty relation has no arity yet). Once this holds, every stored tuple a
+/// join reads has the arity its atom expects, so every probe candidate's
+/// index can be built.
+fn check_arities(prog: &Program, db: &IdDatabase) -> Result<()> {
+    for (rel, found) in prog.arities() {
+        match db.relation(&rel).and_then(IdRelation::arity) {
+            Some(expected) if expected != found => {
+                return Err(DlError::Arity {
+                    rel,
+                    expected,
+                    found,
+                })
+            }
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 /// Semi-naive (and the positive half of naive) reject negation up front.
@@ -747,18 +635,33 @@ fn require_positive(prog: &Program) -> Result<()> {
     Ok(())
 }
 
-/// Full-database rounds: every round evaluates all rules against the
-/// current database (frozen per round — negation included, which makes
-/// this inflationary Datalog¬ when negation is present, Abiteboul–Vianu /
-/// Kolaitis–Papadimitriou style; on positive programs it is the naive
-/// baseline). Exactly the semantics IQL generalizes (Section 3.2).
-fn full_rounds(
+/// Runs `rules` to their fixpoint over `db`, one round per iteration: a
+/// boundary check, the round's join tasks on the worker pool, then their
+/// tuples merged into `db` in task order. Stops once a round derives
+/// nothing new, or with `stats.trip` set and `db` left at the last
+/// consistent state when the governor trips.
+///
+/// `frozen_neg` picks the round shape. `None` runs full rounds: every
+/// round evaluates every supported rule against the current database,
+/// negation included (frozen per round) — the naive baseline on positive
+/// programs, inflationary Datalog¬ (Kolaitis–Papadimitriou) otherwise,
+/// and exactly the semantics IQL generalizes (Section 3.2). `Some(view)`
+/// runs delta-driven rounds (semi-naive, Balbin–Ramamohanarao): the first
+/// round evaluates every supported rule, and each later round one task
+/// per (rule, positive atom whose relation gained tuples in the previous
+/// round), with negation reading the frozen `view` of completed lower
+/// strata — the only negation under which differentiating is sound.
+fn fixpoint(
     rules: &[CompiledRule<'_>],
     db: &mut IdDatabase,
+    frozen_neg: Option<&IdDatabase>,
     threads: usize,
     gov: &Governor,
     stats: &mut EvalStats,
 ) -> Result<()> {
+    // The previous round's new tuples; `None` before the first round and
+    // under full rounds.
+    let mut delta: Option<IdDatabase> = None;
     loop {
         if let Some(reason) = round_boundary_trip(db, stats, gov) {
             stats.trip = Some(reason);
@@ -766,20 +669,37 @@ fn full_rounds(
         }
         stats.rounds += 1;
         ensure_probe_indexes(rules, db);
+        if let Some(delta) = &delta {
+            ensure_probe_indexes(rules, delta);
+        }
         let (heads, outs) = {
             let db = &*db;
-            let tasks: Vec<JoinTask> = rules
-                .iter()
-                .enumerate()
-                .filter(|(_, rule)| rule_supported(rule, db, None))
-                .map(|(ri, rule)| JoinTask {
-                    ri,
-                    rule,
-                    read: db,
-                    delta: None,
-                    neg_view: db,
-                })
-                .collect();
+            let neg_view = frozen_neg.unwrap_or(db);
+            let mut tasks: Vec<JoinTask> = Vec::new();
+            for (ri, rule) in rules.iter().enumerate() {
+                let mut schedule = |delta| {
+                    if rule_supported(rule, db, delta) {
+                        tasks.push(JoinTask {
+                            ri,
+                            rule,
+                            read: db,
+                            delta,
+                            neg_view,
+                        });
+                    }
+                };
+                match &delta {
+                    None => schedule(None),
+                    // Only this fixpoint's head relations gain tuples, so
+                    // an atom over any other relation has an empty delta
+                    // and its task is unsupported.
+                    Some(d) => {
+                        for (i, _) in &rule.positives {
+                            schedule(Some((d, *i)));
+                        }
+                    }
+                }
+            }
             let heads: Vec<&CompiledRule> = tasks.iter().map(|t| &rules[t.ri]).collect();
             (heads, run_tasks(&tasks, threads, |t| t.run_caught(gov)))
         };
@@ -790,14 +710,18 @@ fn full_rounds(
             stats.trip = Some(reason);
             return Ok(());
         }
-        let mut round_trip = None;
+        let mut next_delta = frozen_neg.map(|_| IdDatabase::new());
         let mut changed = false;
+        let mut round_trip = None;
         for (rule, out) in heads.into_iter().zip(outs) {
             let out = route_task_out(out, &mut round_trip);
             for t in out.tuples(rule.head.len()) {
                 stats.derivations += 1;
                 if db.insert(rule.head_rel, t)? {
                     changed = true;
+                    if let Some(next) = &mut next_delta {
+                        next.insert(rule.head_rel, t)?;
+                    }
                 }
             }
         }
@@ -810,13 +734,13 @@ fn full_rounds(
         if !changed {
             return Ok(());
         }
+        delta = next_delta;
     }
 }
 
-/// The deterministic round-boundary checks shared by both fixpoint drivers:
-/// asynchronous signals first, then the round and tuple budgets. Checked
-/// *before* a round runs, so a clean fixpoint reached within budget never
-/// trips.
+/// The deterministic round-boundary checks: asynchronous signals first,
+/// then the round and tuple budgets. Checked *before* a round runs, so a
+/// clean fixpoint reached within budget never trips.
 fn round_boundary_trip(db: &IdDatabase, stats: &EvalStats, gov: &Governor) -> Option<AbortReason> {
     if let Some(reason) = gov.trip_async() {
         return Some(reason);
@@ -860,128 +784,11 @@ fn route_task_out(out: TaskOut, round_trip: &mut Option<AbortReason>) -> Derived
     }
 }
 
-/// Semi-naive core, with `neg_view` holding the (frozen, lower-stratum)
-/// relations negative literals read. A governor trip stops the fixpoint
-/// with `stats.trip` set and `db` left at the last consistent state.
-fn seminaive_stratum(
-    rules: &[CompiledRule<'_>],
-    db: &mut IdDatabase,
-    neg_view: &IdDatabase,
-    threads: usize,
-    gov: &Governor,
-    stats: &mut EvalStats,
-) -> Result<()> {
-    let idb: BTreeSet<&str> = rules.iter().map(|r| r.head_rel).collect();
-
-    // Round 0: evaluate every rule on the current database.
-    let mut delta = IdDatabase::new();
-    if let Some(reason) = round_boundary_trip(db, stats, gov) {
-        stats.trip = Some(reason);
-        return Ok(());
-    }
-    stats.rounds += 1;
-    ensure_probe_indexes(rules, db);
-    {
-        let (heads, outs) = {
-            let db = &*db;
-            let tasks: Vec<JoinTask> = rules
-                .iter()
-                .enumerate()
-                .filter(|(_, rule)| rule_supported(rule, db, None))
-                .map(|(ri, rule)| JoinTask {
-                    ri,
-                    rule,
-                    read: db,
-                    delta: None,
-                    neg_view,
-                })
-                .collect();
-            let heads: Vec<&CompiledRule> = tasks.iter().map(|t| &rules[t.ri]).collect();
-            (heads, run_tasks(&tasks, threads, |t| t.run_caught(gov)))
-        };
-        if let Some(reason) = round_abandoned(&outs) {
-            stats.trip = Some(reason);
-            return Ok(());
-        }
-        let mut round_trip = None;
-        for (rule, out) in heads.into_iter().zip(outs) {
-            let out = route_task_out(out, &mut round_trip);
-            for t in out.tuples(rule.head.len()) {
-                stats.derivations += 1;
-                if db.insert(rule.head_rel, t)? {
-                    delta.insert(rule.head_rel, t)?;
-                }
-            }
-        }
-        if round_trip.is_some() {
-            stats.trip = round_trip;
-            return Ok(());
-        }
-    }
-
-    // Differential rounds: one task per derived positive atom occurrence.
-    while delta.size() > 0 {
-        if let Some(reason) = round_boundary_trip(db, stats, gov) {
-            stats.trip = Some(reason);
-            return Ok(());
-        }
-        stats.rounds += 1;
-        ensure_probe_indexes(rules, db);
-        ensure_probe_indexes(rules, &delta);
-        let (heads, outs) = {
-            let db = &*db;
-            let mut tasks: Vec<JoinTask> = Vec::new();
-            for (ri, rule) in rules.iter().enumerate() {
-                for (i, atom) in &rule.positives {
-                    if !idb.contains(atom.rel) {
-                        continue;
-                    }
-                    if delta.relation(atom.rel).is_none_or(|r| r.is_empty()) {
-                        continue;
-                    }
-                    if !rule_supported(rule, db, Some((&delta, *i))) {
-                        continue;
-                    }
-                    tasks.push(JoinTask {
-                        ri,
-                        rule,
-                        read: db,
-                        delta: Some((&delta, *i)),
-                        neg_view,
-                    });
-                }
-            }
-            let heads: Vec<&CompiledRule> = tasks.iter().map(|t| &rules[t.ri]).collect();
-            (heads, run_tasks(&tasks, threads, |t| t.run_caught(gov)))
-        };
-        if let Some(reason) = round_abandoned(&outs) {
-            stats.trip = Some(reason);
-            return Ok(());
-        }
-        let mut next_delta = IdDatabase::new();
-        let mut round_trip = None;
-        for (rule, out) in heads.into_iter().zip(outs) {
-            let out = route_task_out(out, &mut round_trip);
-            for t in out.tuples(rule.head.len()) {
-                stats.derivations += 1;
-                if db.insert(rule.head_rel, t)? {
-                    next_delta.insert(rule.head_rel, t)?;
-                }
-            }
-        }
-        if round_trip.is_some() {
-            stats.trip = round_trip;
-            return Ok(());
-        }
-        delta = next_delta;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::parse_program;
+    use crate::ast::{parse_program, Tuple};
+    use iql_model::Constant;
 
     fn chain_db(n: usize) -> Database {
         let mut db = Database::new();
@@ -1072,27 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn query_matches_patterns() {
-        let db = chain_db(3);
-        use crate::ast::DlTerm;
-        // All successors of 0.
-        let atom = Atom::new(
-            "Edge",
-            vec![DlTerm::Const(Constant::int(0)), DlTerm::Var("x".into())],
-        );
-        assert_eq!(query(&db, &atom), vec![vec![Constant::int(1)]]);
-        // Repeated variable: self loops only (none).
-        let atom = Atom::new(
-            "Edge",
-            vec![DlTerm::Var("x".into()), DlTerm::Var("x".into())],
-        );
-        assert!(query(&db, &atom).is_empty());
-        // Unknown relation: empty.
-        let atom = Atom::new("Nope", vec![DlTerm::Var("x".into())]);
-        assert!(query(&db, &atom).is_empty());
-    }
-
-    #[test]
     fn parallel_rounds_match_sequential() {
         let prog = parse_program(TC).unwrap();
         let mut db = chain_db(6);
@@ -1145,6 +931,7 @@ mod tests {
             (&tc, chain_db(12), Strategy::Stratified, (13, 78)),
             (&tc, cyclic.clone(), Strategy::Naive, (5, 60)),
             (&tc, cyclic.clone(), Strategy::SemiNaive, (5, 20)),
+            (&tc, cyclic.clone(), Strategy::Inflationary, (5, 60)),
             (&tc, cyclic, Strategy::Stratified, (5, 20)),
             (
                 &complement,
@@ -1260,6 +1047,51 @@ mod tests {
             let (out, _) = eval(&prog, &chain_db(3), strategy).unwrap();
             assert_eq!(out.relation("Done").unwrap().len(), 1);
             assert!(out.relation("Any").unwrap().contains(&Vec::new()));
+        }
+    }
+
+    #[test]
+    fn stored_arity_must_match_the_program() {
+        let mut db = Database::new();
+        for i in 1..4 {
+            db.insert("Edge", vec![Constant::int(i)]).unwrap();
+            db.insert("Node", vec![Constant::int(i)]).unwrap();
+        }
+        let all = [
+            Strategy::Naive,
+            Strategy::SemiNaive,
+            Strategy::Inflationary,
+            Strategy::Stratified,
+        ];
+        let cases: [(&str, &[Strategy]); 3] = [
+            ("P(x, y) :- Edge(x, y).", &all),
+            ("P(x) :- Edge(x, 2).", &all),
+            (
+                "P(x) :- Node(x), !Edge(x, x).",
+                &[Strategy::Inflationary, Strategy::Stratified],
+            ),
+        ];
+        let want = DlError::Arity {
+            rel: "Edge".into(),
+            expected: 1,
+            found: 2,
+        };
+        for (src, strategies) in cases {
+            let prog = parse_program(src).unwrap();
+            for &strategy in strategies {
+                for threads in [1, 4] {
+                    let got = eval_with(&prog, &db, strategy, threads).err();
+                    assert_eq!(got.as_ref(), Some(&want), "{src} {strategy} {threads}");
+                }
+            }
+        }
+        // A declared but empty relation has no arity yet, so any use fits.
+        let mut empty = Database::new();
+        empty.declare("Edge");
+        let prog = parse_program("P(x, y) :- Edge(x, y).").unwrap();
+        for strategy in all {
+            let (out, _) = eval(&prog, &empty, strategy).unwrap();
+            assert!(out.relation("P").is_none(), "{strategy}");
         }
     }
 

@@ -262,13 +262,15 @@ impl ColIndex {
         }
     }
 
-    /// The positions whose column value is `key`, ascending.
-    pub(crate) fn postings(&self, key: CId) -> impl Iterator<Item = u32> + '_ {
-        let first = self.ends.get(&key).map(|&(first, _)| first);
-        std::iter::successors(first, |&pos| {
-            let next = self.next[pos as usize];
-            (next != NONE).then_some(next)
-        })
+    /// The first (lowest) position whose column value is `key`.
+    fn first(&self, key: CId) -> Option<u32> {
+        self.ends.get(&key).map(|&(first, _)| first)
+    }
+
+    /// The position after `pos` with the same column value.
+    fn next(&self, pos: u32) -> Option<u32> {
+        let next = self.next[pos as usize];
+        (next != NONE).then_some(next)
     }
 
     /// Number of distinct values in the column.
@@ -371,6 +373,24 @@ impl IdRelation {
         (0..self.len()).map(|pos| self.tuple_at(pos as u32))
     }
 
+    /// The positions a scan visits, ascending: with `Some((index, key))`,
+    /// those whose indexed column holds `key` (`index` must be one of this
+    /// relation's); with `None`, every position.
+    pub(crate) fn positions<'a>(
+        &'a self,
+        probe: Option<(&'a ColIndex, CId)>,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let len = u32::try_from(self.len()).expect("relation overflow");
+        let first = match probe {
+            Some((idx, key)) => idx.first(key),
+            None => (len > 0).then_some(0),
+        };
+        std::iter::successors(first, move |&pos| match probe {
+            Some((idx, _)) => idx.next(pos),
+            None => (pos + 1 < len).then_some(pos + 1),
+        })
+    }
+
     /// The tuple at `pos` (a position from an index).
     pub(crate) fn tuple_at(&self, pos: u32) -> &[CId] {
         let a = self.arity.unwrap_or(0);
@@ -388,6 +408,12 @@ impl IdRelation {
         self.len() == 0
     }
 
+    /// The arity, fixed by the first insert; `None` while nothing was ever
+    /// stored.
+    pub(crate) fn arity(&self) -> Option<usize> {
+        self.arity
+    }
+
     /// The incremental index on `col`, if built.
     pub(crate) fn index(&self, col: usize) -> Option<&ColIndex> {
         self.indexes.get(col)?.get().map(Arc::as_ref)
@@ -403,21 +429,14 @@ impl IdRelation {
     /// Columns beyond the arity have no index to build.
     fn ensure_index(&self, col: usize) {
         if let Some(slot) = self.indexes.get(col) {
-            slot.get_or_init(|| Arc::new(self.build_index(col)));
+            slot.get_or_init(|| {
+                let mut idx = ColIndex::default();
+                for t in self.iter() {
+                    idx.push(t[col]);
+                }
+                Arc::new(idx)
+            });
         }
-    }
-
-    /// Builds a positions index on an arbitrary column without storing it —
-    /// the fallback for probe columns no [`Self::ensure_index`] pass saw. A
-    /// column beyond the arity matches nothing.
-    pub(crate) fn build_index(&self, col: usize) -> ColIndex {
-        let mut idx = ColIndex::default();
-        if self.arity.is_some_and(|a| col < a) {
-            for t in self.iter() {
-                idx.push(t[col]);
-            }
-        }
-        idx
     }
 }
 
@@ -570,28 +589,6 @@ impl IdDatabase {
     }
 }
 
-/// The interned store's cardinality statistics behind the shared
-/// runtime's [`iql_exec::Storage`] interface — relations addressed by
-/// name, probe columns by tuple position, distinct counts read off the
-/// incremental indexes for free. This is what routes the engine's
-/// probe-column choice through the one shared policy
-/// ([`iql_exec::choose_probe`]) instead of a hand-rolled ranking.
-#[derive(Clone, Copy)]
-pub(crate) struct DbStats<'a>(pub(crate) &'a IdDatabase);
-
-impl<'a> iql_exec::Storage for DbStats<'a> {
-    type Rel = &'a str;
-    type Col = usize;
-
-    fn extent(&self, rel: &'a str) -> usize {
-        self.0.relation(rel).map_or(0, IdRelation::len)
-    }
-
-    fn distinct(&self, rel: &'a str, col: usize) -> Option<usize> {
-        self.0.relation(rel).and_then(|r| r.distinct(col))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,7 +598,8 @@ mod tests {
     }
 
     fn postings(rel: &IdRelation, col: usize, key: CId) -> Vec<u32> {
-        rel.index(col).expect("index built").postings(key).collect()
+        let idx = rel.index(col).expect("index built");
+        rel.positions(Some((idx, key))).collect()
     }
 
     #[test]
@@ -657,13 +655,13 @@ mod tests {
         rel.ensure_index(0);
         assert_eq!(postings(&rel, 0, a), vec![0, 1]);
         assert_eq!(postings(&rel, 0, b), vec![2]);
-        // Arbitrary-column index agrees with a scan.
-        let idx1 = rel.build_index(1);
-        assert_eq!(idx1.postings(c).collect::<Vec<_>>(), vec![1, 2]);
-        // Ensured indexes are maintained by later inserts and expose the
-        // column's distinct count.
+        assert_eq!(rel.positions(None).collect::<Vec<_>>(), vec![0, 1, 2]);
+        // A later column's index, built over the stored tuples, agrees
+        // with a scan; ensured indexes are maintained by later inserts and
+        // expose the column's distinct count.
         assert!(rel.index(1).is_none());
         rel.ensure_index(1);
+        assert_eq!(postings(&rel, 1, c), vec![1, 2]);
         assert_eq!(rel.distinct(1), Some(2)); // {b, c}
         assert!(rel.insert(&[c, a]).unwrap());
         assert_eq!(postings(&rel, 1, a), vec![3]);
@@ -672,7 +670,7 @@ mod tests {
         // Columns beyond the arity have no index.
         rel.ensure_index(2);
         assert!(rel.index(2).is_none());
-        assert_eq!(rel.build_index(2).postings(a).count(), 0);
+        assert_eq!(rel.arity(), Some(2));
         // Insertion order is preserved.
         let scan: Vec<&[CId]> = rel.iter().collect();
         assert_eq!(scan, vec![&[a, b][..], &[a, c], &[b, c], &[c, a]]);
@@ -806,27 +804,24 @@ mod tests {
     }
 
     #[test]
-    fn stats_implement_the_shared_storage_interface() {
-        use iql_exec::Storage;
+    fn distinct_counts_feed_the_shared_probe_policy() {
         let mut pool = ConstPool::default();
         let (a, b, c) = (cid(&mut pool, 1), cid(&mut pool, 2), cid(&mut pool, 3));
         let mut db = IdDatabase::new();
         db.insert("Edge", &[a, b]).unwrap();
         db.insert("Edge", &[a, c]).unwrap();
-        let stats = DbStats(&db);
-        assert_eq!(stats.extent("Edge"), 2);
-        assert_eq!(stats.extent("Nope"), 0);
+        let edge = db.relation("Edge").unwrap();
+        assert_eq!(edge.len(), 2);
+        assert!(db.relation("Nope").is_none());
         // Columns are indexed on demand only.
-        assert_eq!(stats.distinct("Edge", 0), None);
+        assert_eq!(edge.distinct(0), None);
         db.ensure_index("Edge", 0);
-        assert_eq!(stats.distinct("Edge", 0), Some(1));
-        assert_eq!(stats.distinct("Edge", 1), None);
+        assert_eq!(edge.distinct(0), Some(1));
+        assert_eq!(edge.distinct(1), None);
         db.ensure_index("Edge", 1);
-        assert_eq!(DbStats(&db).distinct("Edge", 1), Some(2));
+        assert_eq!(edge.distinct(1), Some(2));
         // The shared probe policy picks the more selective column.
-        assert_eq!(
-            iql_exec::choose_probe(&DbStats(&db), "Edge", [0, 1]),
-            Some(1)
-        );
+        let cands = [0, 1].map(|col| (col, edge.distinct(col)));
+        assert_eq!(iql_exec::choose_probe(cands), Some(1));
     }
 }

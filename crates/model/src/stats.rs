@@ -56,19 +56,3 @@ impl<'a> InstanceStats<'a> {
         self.inst.stats_epoch()
     }
 }
-
-/// The shared execution runtime's view of these statistics: relations are
-/// handled by name, probe columns are tuple attributes, and distinct
-/// counts exist exactly for built secondary indexes.
-impl iql_exec::Storage for InstanceStats<'_> {
-    type Rel = RelName;
-    type Col = AttrName;
-
-    fn extent(&self, rel: RelName) -> usize {
-        self.relation_len(rel).unwrap_or(0)
-    }
-
-    fn distinct(&self, rel: RelName, col: AttrName) -> Option<usize> {
-        self.attr_distinct(rel, col)
-    }
-}

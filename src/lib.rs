@@ -14,9 +14,9 @@
 //!   inheritance (paper Sections 2, 4.1, 6);
 //! * [`lang`] — the IQL language: parser, type checker, evaluator,
 //!   sublanguage analysis (Sections 3–5);
-//! * [`exec`] — the shared execution runtime both engines compile into:
-//!   the physical-plan IR, the deterministic worker-pool driver, and the
-//!   resource governor;
+//! * [`exec`] — the shared execution runtime both engines run on: the
+//!   deterministic worker-pool driver, the resource governor, and the
+//!   probe-column policy;
 //! * [`datalog`] — a standalone relational Datalog engine (naive,
 //!   semi-naive, stratified/inflationary negation) as the rule-language
 //!   baseline;

@@ -358,7 +358,12 @@ fn datalog_round_limit_returns_partial_database() {
     let edb = dl_chain(6);
     let gov = Governor::unlimited().with_max_steps(2);
     let mut reference: Option<usize> = None;
-    for strategy in [Strategy::Naive, Strategy::SemiNaive] {
+    for strategy in [
+        Strategy::Naive,
+        Strategy::SemiNaive,
+        Strategy::Inflationary,
+        Strategy::Stratified,
+    ] {
         for threads in [1usize, 4] {
             let (db, stats) = dl_eval_governed(&prog, &edb, strategy, threads, &gov).unwrap();
             assert_eq!(
@@ -445,5 +450,18 @@ fn datalog_worker_panic_is_contained() {
     // Legacy entry point: a contained panic is a fault, not a budget.
     let err = dl_eval_with(&prog, &edb, Strategy::Naive, 2).unwrap_err();
     assert_eq!(err, DlError::WorkerPanic { rule: 0 });
+    // The recursive rule of the closure first runs in a delta-driven
+    // round: round 1 derives `Tc = Edge`, and its only task panics in
+    // round 2.
+    let tc = parse_program(DL_TC).unwrap();
+    TEST_PANIC_RULE.store(1, Ordering::SeqCst);
+    for strategy in [Strategy::SemiNaive, Strategy::Stratified] {
+        let (db, stats) = dl_eval_governed(&tc, &edb, strategy, 2, &Governor::unlimited()).unwrap();
+        assert_eq!(stats.trip, Some(AbortReason::WorkerPanic { rule: 1 }));
+        assert_eq!(stats.rounds, 2, "{strategy:?}");
+        assert_eq!(db.relation("Tc"), db.relation("Edge"), "{strategy:?}");
+        let err = dl_eval_with(&tc, &edb, strategy, 2).unwrap_err();
+        assert_eq!(err, DlError::WorkerPanic { rule: 1 });
+    }
     TEST_PANIC_RULE.store(usize::MAX, Ordering::SeqCst);
 }
