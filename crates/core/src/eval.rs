@@ -1,20 +1,26 @@
 //! The naive inflationary evaluator (Section 3.2).
 //!
 //! Semantics follows the paper exactly: evaluation proceeds in *steps*; each
-//! step
+//! step is a function of the pre-step instance `I`:
 //!
 //! 1. computes the **valuation-domain** — all `(rule, θ)` with `I ⊨ θ body`
 //!    such that *no extension* of `θ` already satisfies the head (this
 //!    head-satisfaction guard is what terminates oid invention). Both
 //!    searches run on one pattern matcher: the body search walks the rule's
-//!    plan depth-first over one binding, the guard stops at the first
-//!    extension it finds;
+//!    plan depth-first over one register array, the guard stops at the
+//!    first extension it finds;
 //! 2. picks a **valuation-map** — fresh, pairwise-distinct oids for every
 //!    head-only variable of every `(rule, θ)` (or, under IQL⁺ `choose`, an
 //!    existing object chosen generically, Section 4.4);
-//! 3. adds the derived ground facts, subject to the **weak-assignment**
-//!    condition (†): a non-set oid's value is set only if currently
-//!    undefined and uniquely derived this step.
+//! 3. adds the derived ground facts, every head term evaluated in `I` (plus
+//!    this step's fresh oids), subject to the **weak-assignment** condition
+//!    (†): a non-set oid's value is set only if currently undefined and
+//!    uniquely derived this step.
+//!
+//! Each stage compiles its rules once (`planner::CompiledRule`):
+//! variables become dense slots, so a valuation is a register array during
+//! the search and a flat row of body-slot ids afterwards, and the head term
+//! the guard evaluated travels with its fire to the apply phase.
 //!
 //! Stages (`;` composition) run each rule set to its inflationary fixpoint
 //! before the next starts. IQL\* deletion heads are applied at the end of
@@ -27,10 +33,12 @@
 //! and the engine behind the non-range-restricted powerset program of
 //! Example 3.4.2. Enumeration is guarded by a configurable budget.
 
-use crate::ast::{Head, Literal, Program, Rule, Stage, Term, VarName};
+use crate::ast::{Program, Rule, Stage, Term};
 use crate::error::{IqlError, Result};
 use crate::govern::{governor_from_config, AbortReason, Aborted, Governor, Pacer, RunOutcome};
-use crate::planner::{build_plan, plan_rule, Op, PlanSource, RulePlan};
+use crate::planner::{
+    build_plan, plan_rule, CompiledRule, Op, PlanSource, Probe, RulePlan, SHead, SLit, STerm, Slot,
+};
 use iql_exec::{chunk_ranges, run_tasks};
 use iql_model::iso::orbits;
 use iql_model::{
@@ -39,19 +47,13 @@ use iql_model::{
 };
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A valuation `θ` of rule variables to o-values, held as interned ids:
-/// `Copy` values, O(1) equality, and clones that copy machine words instead
-/// of o-value trees. Ids are relative to the working instance's store,
-/// possibly extended by a worker-local [`Overlay`] during the search phase.
-type IdBinding = BTreeMap<VarName, ValueId>;
 
 /// Evaluation limits and switches.
 ///
@@ -458,6 +460,34 @@ pub fn run_governed(prog: &Program, input: &Instance, cfg: &EvalConfig) -> Resul
     }
 }
 
+/// A stage's rules, compiled once when the stage starts (every plan, step
+/// and valuation of the stage reads them), and the stage-wide facts its
+/// steps consult.
+struct StageRules<'a> {
+    rules: Vec<CompiledRule<'a>>,
+    /// Deletions un-block guards (a deleted head fact lets an old valuation
+    /// fire again), so any deletion rule in the stage disables delta-driven
+    /// evaluation for the whole stage.
+    deletes: bool,
+    /// Is fire order observable? Oid invention numbers fresh oids in fire
+    /// order, and deletions apply in it; elsewhere facts and assignments
+    /// merge as sets.
+    order_observable: bool,
+}
+
+impl<'a> StageRules<'a> {
+    fn new(stage: &'a Stage) -> Self {
+        let rules: Vec<CompiledRule<'a>> = stage.rules.iter().map(CompiledRule::new).collect();
+        let deletes = stage.rules.iter().any(|r| r.head.is_deletion());
+        let order_observable = deletes || rules.iter().any(|cr| !cr.invent.is_empty());
+        StageRules {
+            rules,
+            deletes,
+            order_observable,
+        }
+    }
+}
+
 /// Runs one stage to its inflationary fixpoint under `gov`, returning
 /// `Ok(Some(reason))` on a resource trip with `work` left at the last
 /// consistent snapshot (the deterministic budgets are checked at step
@@ -472,6 +502,7 @@ fn run_stage_governed(
 ) -> Result<Option<AbortReason>> {
     let stage_idx = report.stages;
     report.stages += 1;
+    let compiled = StageRules::new(stage);
     // None ⇒ first step: full evaluation.
     let mut delta: Option<Delta> = None;
     // Epoch-keyed plan cache: a compiled plan borrows only its rule, never
@@ -495,12 +526,12 @@ fn run_stage_governed(
             .as_ref()
             .is_some_and(|(epoch, _)| *epoch == work.stats_epoch());
         if hit {
-            report.plans_cached += stage.rules.len();
+            report.plans_cached += compiled.rules.len();
         } else {
-            let plans: Vec<RulePlan<'_>> = stage
+            let plans: Vec<RulePlan<'_>> = compiled
                 .rules
                 .iter()
-                .map(|r| plan_rule(r, work, cfg))
+                .map(|cr| plan_rule(cr, work, cfg))
                 .collect::<Result<Vec<_>>>()?;
             report.plans_fresh += plans.len();
             cached = Some((work.stats_epoch(), plans));
@@ -508,7 +539,7 @@ fn run_stage_governed(
         let plans = &cached.as_ref().expect("planned above").1;
         report.plans_reordered += plans.iter().filter(|p| p.reordered).count();
         let (changed, delta_out) = match one_step(
-            stage,
+            &compiled,
             stage_idx,
             step,
             work,
@@ -595,43 +626,91 @@ struct Delta {
     classes: BTreeMap<ClassName, BTreeSet<Oid>>,
 }
 
-/// Is a rule syntactically eligible for delta-driven evaluation? Its truth
-/// at a valuation must depend only on relation/class facts (monotone) and
-/// the binding itself: no dereferences (ν changes untracked), no relation/
-/// class terms inside comparisons (their whole extent is state), no
-/// enumeration fallbacks in its plan (the active domain grows), no choose,
-/// no deletion.
-fn rule_seminaive_eligible(rule: &Rule, plan: &RulePlan<'_>) -> bool {
-    fn simple(t: &Term) -> bool {
-        match t {
-            Term::Var(_) | Term::Const(_) => true,
-            Term::Rel(_) | Term::Class(_) | Term::Deref(_) => false,
-            Term::Set(elems) => elems.iter().all(simple),
-            Term::Tuple(fields) => fields.values().all(simple),
+/// The registers of one rule: one value per slot (`None` while unbound),
+/// and the trail of the slots the match in progress has bound.
+struct Regs {
+    vals: Vec<Option<ValueId>>,
+    trail: Vec<Slot>,
+}
+
+impl Regs {
+    fn new(nslots: usize) -> Self {
+        Regs {
+            vals: vec![None; nslots],
+            trail: Vec::new(),
         }
     }
-    if rule.head.is_deletion() || rule.has_choose() {
-        return false;
+
+    fn bind(&mut self, s: Slot, id: ValueId) {
+        self.vals[s] = Some(id);
+        self.trail.push(s);
     }
-    // Head terms must be state-independent too: a head like `R1(z^)`
-    // derives a *different* fact as ν(z) grows, so its valuations must be
-    // re-fired every step (the constructive powerset depends on this).
-    let head_ok = match &rule.head {
-        Head::Rel(_, t) | Head::SetMember(_, t) | Head::Assign(_, t) => simple(t),
-        Head::Class(_, _) => true,
-        Head::DeleteRel(..) | Head::DeleteOid(..) | Head::DeleteSetMember(..) => false,
-    };
-    if !head_ok {
-        return false;
-    }
-    let body_ok = rule.body.iter().all(|lit| match lit {
-        Literal::Member { set, elem, .. } => {
-            matches!(set, Term::Rel(_) | Term::Class(_) | Term::Var(_)) && simple(elem)
+
+    /// Unbinds every slot bound since the trail had length `mark`.
+    fn unwind(&mut self, mark: usize) {
+        for s in self.trail.drain(mark..) {
+            self.vals[s] = None;
         }
-        Literal::Eq { left, right, .. } => simple(left) && simple(right),
-        Literal::Choose => false,
-    });
-    body_ok && plan.enum_fallbacks == 0
+    }
+
+    /// Binds `slots` to the ids of `row`, in order.
+    fn load(&mut self, slots: &[Slot], row: &[ValueId]) {
+        for (&s, &id) in slots.iter().zip(row) {
+            self.vals[s] = Some(id);
+        }
+    }
+
+    /// Sets the registers to one fire's valuation: its row over the body
+    /// slots, and its invented ids over the invention slots.
+    fn load_fire(&mut self, cr: &CompiledRule<'_>, row: &[ValueId], invented: &[ValueId]) {
+        self.vals.clear();
+        self.vals.resize(cr.nslots(), None);
+        self.load(&cr.body_slots, row);
+        for (&(s, _), &id) in cr.invent.iter().zip(invented) {
+            self.vals[s] = Some(id);
+        }
+    }
+}
+
+/// Valuations as flat rows of ids: each row holds one valuation's body
+/// slots in slot order, and the rows are concatenated.
+struct Rows {
+    width: usize,
+    len: usize,
+    ids: Vec<ValueId>,
+}
+
+impl Rows {
+    fn new(width: usize) -> Self {
+        Rows {
+            width,
+            len: 0,
+            ids: Vec::new(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[ValueId] {
+        &self.ids[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Appends the valuation held in `regs` over `slots`.
+    fn push(&mut self, regs: &[Option<ValueId>], slots: &[Slot]) {
+        for &s in slots {
+            self.ids
+                .push(regs[s].expect("a valuation binds every body variable"));
+        }
+        self.len += 1;
+    }
+
+    /// Sorts the rows lexicographically by raw id and drops duplicates.
+    fn sort_dedup(&mut self) {
+        let mut order: Vec<usize> = (0..self.len).collect();
+        order.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)));
+        order.dedup_by(|a, b| self.row(*a) == self.row(*b));
+        let ids = order.iter().flat_map(|&i| self.row(i)).copied().collect();
+        self.len = order.len();
+        self.ids = ids;
+    }
 }
 
 /// One unit of the phase-1 valuation search: one rule, optionally
@@ -645,14 +724,17 @@ struct SearchTask {
     delta_driven: bool,
 }
 
-/// What a search task produces: *pending* derivations only — guard-filtered
-/// valuations in canonical (plan/delta) order — plus local statistics and
-/// the worker's overlay log. Binding ids below the log's base length are
-/// store ids of the frozen pre-step instance; ids at or above it index into
-/// the log and are remapped when the merge phase absorbs it. Nothing here
-/// touches the instance; all mutation happens in the deterministic merge.
+/// What a search task produces: *pending* derivations only — the rows of
+/// the guard-filtered valuations in canonical (plan/delta) order, each
+/// with the head term's value where the guard evaluated it — plus local
+/// statistics and the worker's overlay log. Ids below the log's base
+/// length are store ids of the frozen pre-step instance; ids at or above it
+/// index into the log and are remapped when the merge phase absorbs it.
+/// Nothing here touches the instance; all mutation happens in the
+/// deterministic merge.
 struct SearchOut {
-    fires: Vec<IdBinding>,
+    fires: Rows,
+    heads: Vec<Option<ValueId>>,
     enum_fallbacks: usize,
     index_hits: usize,
     index_misses: usize,
@@ -684,7 +766,7 @@ fn delta_has_source(delta: &Delta, source: &PlanSource) -> bool {
 /// tasks finish normally and their results survive.
 fn run_search_task_caught(
     task: &SearchTask,
-    stage: &Stage,
+    cr: &CompiledRule<'_>,
     plan: &RulePlan<'_>,
     work: &Instance,
     cfg: &EvalConfig,
@@ -695,7 +777,7 @@ fn run_search_task_caught(
         if cfg.test_panic_rule == Some(task.ri) {
             panic!("injected panic for rule {} (test hook)", task.ri);
         }
-        run_search_task(task, stage, plan, work, cfg, gov, delta_in)
+        run_search_task(task, cr, plan, work, cfg, gov, delta_in)
     }))
     .unwrap_or(Err(IqlError::WorkerPanic { rule: task.ri }))
 }
@@ -704,34 +786,32 @@ fn run_search_task_caught(
 /// body conjures that the store has not seen (constants from the rule text,
 /// freshly built tuples/sets) are interned into a worker-local [`Overlay`];
 /// the base store is never touched, so tasks run in parallel borrow-free.
-#[allow(clippy::too_many_arguments)]
 fn run_search_task(
     task: &SearchTask,
-    stage: &Stage,
+    cr: &CompiledRule<'_>,
     plan: &RulePlan<'_>,
     work: &Instance,
     cfg: &EvalConfig,
     gov: &Governor,
     delta_in: Option<&Delta>,
 ) -> Result<SearchOut> {
-    let rule = &stage.rules[task.ri];
     let view = work.id_view();
     let mut ov = Overlay::new(work.store());
     let mut enum_fallbacks = 0usize;
     let mut counters = ScanCounters::default();
-    let valuations: Vec<IdBinding> = if task.delta_driven {
+    let mut rows = Rows::new(cr.body_slots.len());
+    if task.delta_driven {
         // One run per relation/class scan, with that scan restricted to the
         // previous step's delta (a valuation is new only if at least one of
         // its supporting facts is). Positions whose source has no delta
         // facts are skipped — their restricted run is empty by definition.
         let delta = delta_in.expect("delta-driven task requires a delta");
-        let mut acc: BTreeSet<IdBinding> = BTreeSet::new();
         for i in 0..plan.nscans() {
             if !delta_has_source(delta, &plan.sources[i]) {
                 continue;
             }
-            let vals = find_valuations_id(
-                rule,
+            find_valuations_id(
+                cr,
                 plan,
                 work,
                 &view,
@@ -741,14 +821,14 @@ fn run_search_task(
                 Some((delta, i)),
                 None,
                 &mut counters,
+                &mut rows,
             )?;
             enum_fallbacks += plan.enum_fallbacks;
-            acc.extend(vals);
         }
-        acc.into_iter().collect()
+        rows.sort_dedup();
     } else {
-        let vals = find_valuations_id(
-            rule,
+        find_valuations_id(
+            cr,
             plan,
             work,
             &view,
@@ -758,28 +838,38 @@ fn run_search_task(
             None,
             task.outer,
             &mut counters,
+            &mut rows,
         )?;
         enum_fallbacks += plan.enum_fallbacks;
-        vals
-    };
-    let mut fires = Vec::new();
+    }
+    // The head guard, over each row in turn; the rows that fire are
+    // compacted in place.
+    let mut regs = Regs::new(cr.nslots());
+    let mut heads = Vec::new();
     let mut pacer = Pacer::new(gov);
-    for theta in valuations {
+    let w = rows.width;
+    for i in 0..rows.len {
         if let Some(reason) = pacer.tick(gov) {
             return Err(reason.into());
         }
-        let fire = if rule.head.is_deletion() {
+        regs.load(&cr.body_slots, rows.row(i));
+        let mut head = None;
+        let fire = if cr.rule.head.is_deletion() {
             // Deletion rules fire when the fact to delete exists.
-            deletion_applicable_id(rule, &theta, &view, &mut ov)
+            deletion_applicable_id(cr, &regs.vals, &view, &mut ov, &mut head)
         } else {
-            !head_satisfiable_id(rule, &theta, &view, &mut ov)
+            !head_satisfiable_id(cr, &mut regs, &view, &mut ov, &mut head)
         };
         if fire {
-            fires.push(theta);
+            rows.ids.copy_within(i * w..(i + 1) * w, heads.len() * w);
+            heads.push(head);
         }
     }
+    rows.len = heads.len();
+    rows.ids.truncate(rows.len * w);
     Ok(SearchOut {
-        fires,
+        fires: rows,
+        heads,
         enum_fallbacks,
         index_hits: counters.index_hits,
         index_misses: counters.index_misses,
@@ -811,10 +901,20 @@ fn outer_scan_len(plan: &RulePlan<'_>, inst: &Instance) -> Option<usize> {
 /// Minimum slice of an outermost scan worth handing to a worker.
 const OUTER_CHUNK_MIN: usize = 32;
 
+/// One fired valuation in the merge: its rule, where its row starts in the
+/// step's id buffer, where its invented ids start, and the head term's
+/// value once known.
+struct Fire {
+    ri: usize,
+    row: usize,
+    invented: usize,
+    head: Option<ValueId>,
+}
+
 /// One application of the inflationary one-step operator `g1`.
 #[allow(clippy::too_many_arguments)]
 fn one_step(
-    stage: &Stage,
+    stage: &StageRules<'_>,
     stage_idx: usize,
     step: usize,
     work: &mut Instance,
@@ -835,16 +935,13 @@ fn one_step(
     // either way their probe indexes are ensured on the instance).
     let search_started = std::time::Instant::now();
     let nthreads = cfg.effective_threads();
-    // Deletions un-block guards (a deleted head fact lets an old valuation
-    // fire again), so any deletion rule in the stage disables delta-driven
-    // evaluation for the whole stage.
-    let stage_deletes = stage.rules.iter().any(|r| r.head.is_deletion());
     let mut tasks: Vec<SearchTask> = Vec::new();
-    for (ri, rule) in stage.rules.iter().enumerate() {
+    for (ri, cr) in stage.rules.iter().enumerate() {
         let delta_driven = delta_in.is_some()
             && cfg.use_seminaive
-            && !stage_deletes
-            && rule_seminaive_eligible(rule, &plans[ri]);
+            && !stage.deletes
+            && cr.seminaive
+            && plans[ri].enum_fallbacks == 0;
         if delta_driven {
             // Early exit: when every scan source of the rule is empty in
             // the delta, each delta-restricted run is empty — don't even
@@ -901,7 +998,8 @@ fn one_step(
     // pool over an atomic task cursor, results returned in task order.
     let frozen: &Instance = work;
     let results: Vec<Result<SearchOut>> = run_tasks(&tasks, nthreads, |t| {
-        run_search_task_caught(t, stage, &plans[t.ri], frozen, cfg, gov, delta_in)
+        let cr = &stage.rules[t.ri];
+        run_search_task_caught(t, cr, &plans[t.ri], frozen, cfg, gov, delta_in)
     });
 
     // Deterministic merge of the search outputs: fixed rule order (tasks
@@ -918,7 +1016,8 @@ fn one_step(
     // panicked task's output — the surviving rules' derivations still
     // apply — and is reported upward so the run aborts after this step.
     let mut step_trip: Option<AbortReason> = None;
-    let mut fires: Vec<(usize, IdBinding)> = Vec::new();
+    let mut ids: Vec<ValueId> = Vec::new();
+    let mut fires: Vec<Fire> = Vec::new();
     for (task, out) in tasks.iter().zip(results) {
         let out = match out {
             Ok(out) => out,
@@ -937,90 +1036,85 @@ fn one_step(
         report.index_misses += out.index_misses;
         let base_len = out.log.base_len();
         let remap = work.store_mut().absorb(&out.log);
-        for theta in out.fires {
-            let theta = theta
-                .into_iter()
-                .map(|(v, id)| {
-                    let id = if id.raw() < base_len {
-                        id
-                    } else {
-                        remap[(id.raw() - base_len) as usize]
-                    };
-                    (v, id)
-                })
-                .collect();
-            fires.push((task.ri, theta));
+        let remap = |id: ValueId| {
+            if id.raw() < base_len {
+                id
+            } else {
+                remap[(id.raw() - base_len) as usize]
+            }
+        };
+        let mut rows = out.fires;
+        for id in &mut rows.ids {
+            *id = remap(*id);
         }
+        for (k, head) in out.heads.into_iter().enumerate() {
+            fires.push(Fire {
+                ri: task.ri,
+                row: ids.len() + k * rows.width,
+                invented: 0,
+                head: head.map(remap),
+            });
+        }
+        ids.append(&mut rows.ids);
     }
-    // Canonical merge order: where fire order is observable — oid invention
-    // numbers fresh oids in fire order, and deletions apply in it — sort
-    // fires by rule, then by the *tree order* of the binding values. The
-    // key compares resolved value structure, not raw ids, so every ablation
-    // arm (planner, index, threads) lands on the same canonical order even
+    let row = |f: &Fire| &ids[f.row..f.row + stage.rules[f.ri].body_slots.len()];
+    // Canonical merge order: where fire order is observable, sort fires by
+    // rule, then by the *tree order* of the row values. The key compares
+    // resolved value structure, not raw ids, so every ablation arm
+    // (planner, index, threads) lands on the same canonical order even
     // though each discovers and interns valuations differently. Elsewhere
-    // fire order is unobservable (facts and assignments merge as sets), so
     // the sort — and its cost — is skipped.
-    let order_observable = stage
-        .rules
-        .iter()
-        .any(|r| !r.invention_vars().is_empty() || r.head.is_deletion());
-    if order_observable && fires.len() > 1 {
+    if stage.order_observable && fires.len() > 1 {
         let store = work.store();
-        fires.sort_by(|(ra, ta), (rb, tb)| ra.cmp(rb).then_with(|| cmp_id_bindings(store, ta, tb)));
+        fires.sort_by(|a, b| {
+            a.ri.cmp(&b.ri)
+                .then_with(|| cmp_rows(store, row(a), row(b)))
+        });
     }
     let search_nanos = search_started.elapsed().as_nanos() as u64;
     let nfires = fires.len();
-    for (ri, _) in &fires {
-        *report.rule_fires.entry((stage_idx, *ri)).or_default() += 1;
+    for f in &fires {
+        *report.rule_fires.entry((stage_idx, f.ri)).or_default() += 1;
     }
     let apply_started = std::time::Instant::now();
 
-    // Phase 2: valuation-map (invention / choose) and fact derivation.
+    // Phase 2: valuation-map (invention / choose) and fact derivation, in
+    // passes over the canonically ordered fires, so that every head term
+    // is evaluated against the pre-step instance (Section 3.2) whatever
+    // the order of the stage's rules.
     let mut changed = false;
     let mut delta_out = Delta::default();
-    let mut assignments: BTreeMap<Oid, BTreeSet<ValueId>> = BTreeMap::new();
-    let mut deletions: Vec<(usize, IdBinding)> = Vec::new();
-    // Pre-step ν snapshot for condition (†): the non-set-valued oids whose
-    // value is defined. ν is only ever defined on class members, so its
-    // domain is read directly rather than walking every fact's oids.
-    let predefined: BTreeSet<Oid> = work
-        .value_id_map()
-        .keys()
-        .copied()
-        .filter(|o| !work.is_set_valued(*o))
-        .collect();
     // Choose candidates are computed against the frozen pre-step state, so
     // resolve every needed choice before any mutation happens.
     let mut choose_cache: BTreeMap<ClassName, Oid> = BTreeMap::new();
-    for (ri, _) in &fires {
-        let rule = &stage.rules[*ri];
-        if rule.has_choose() && !rule.head.is_deletion() {
-            for v in rule.invention_vars() {
-                if let Some(TypeExpr::Class(p)) = rule.var_types.get(&v) {
-                    choose_existing(work, *p, &mut choose_cache, cfg)?;
+    for f in &fires {
+        let cr = &stage.rules[f.ri];
+        if cr.has_choose && !cr.rule.head.is_deletion() {
+            for &(_, class) in &cr.invent {
+                if let Some(p) = class {
+                    choose_existing(work, p, &mut choose_cache, cfg)?;
                 }
             }
         }
     }
 
-    for (ri, theta) in fires {
-        let rule = &stage.rules[ri];
-        if rule.head.is_deletion() {
-            deletions.push((ri, theta));
+    // (a) Extend each valuation over its rule's invention slots, in fire
+    // order — fresh oids are numbered in this order.
+    let mut invented: Vec<ValueId> = Vec::new();
+    for f in &mut fires {
+        let cr = &stage.rules[f.ri];
+        if cr.rule.head.is_deletion() {
             continue;
         }
-        // Extend θ over the invention variables.
-        let mut full = theta;
-        for v in rule.invention_vars() {
-            let class = match rule.var_types.get(&v) {
-                Some(TypeExpr::Class(p)) => *p,
-                _ => {
-                    return Err(IqlError::Invalid(format!(
-                        "invention variable {v} lost its class type"
-                    )))
-                }
+        f.invented = invented.len();
+        for &(s, class) in &cr.invent {
+            let Some(class) = class else {
+                return Err(IqlError::Invalid(format!(
+                    "invention variable {} lost its class type",
+                    cr.names[s]
+                )));
             };
-            let oid = if rule.has_choose() {
+            let oid = if cr.has_choose {
                 choose_existing(work, class, &mut choose_cache, cfg)?
             } else {
                 report.invented += 1;
@@ -1029,67 +1123,76 @@ fn one_step(
                 delta_out.classes.entry(class).or_default().insert(fresh);
                 fresh
             };
-            let vid = work.store_mut().oid_id(oid);
-            full.insert(v.clone(), vid);
+            invented.push(work.store_mut().oid_id(oid));
         }
-        // Derive the head fact. Head terms are evaluated over a split
-        // borrow of the working instance — mutable store (the head may
-        // build values the store has not seen) plus an id view of ρ/π/ν.
-        match &rule.head {
-            Head::Rel(r, t) => {
-                let v = {
-                    let (store, view) = work.store_and_view();
-                    eval_term_id(t, &full, &view, store)
-                }
-                .ok_or_else(|| {
-                    IqlError::Invalid(format!("head term {t} undefined at application"))
-                })?;
+    }
+
+    // (b) Evaluate the head terms the guard did not carry, against the
+    // instance (a) left: the pre-step instance plus this step's fresh
+    // oids, which still have their default values. Head terms are
+    // evaluated over a split borrow of the working instance — mutable
+    // store (the head may build values the store has not seen) plus an id
+    // view of ρ/π/ν.
+    let mut regs = Regs::new(0);
+    let invented_of = |f: &Fire, cr: &CompiledRule<'_>| &invented[f.invented..][..cr.invent.len()];
+    for f in &mut fires {
+        let cr = &stage.rules[f.ri];
+        if f.head.is_some() || cr.rule.head.is_deletion() {
+            continue;
+        }
+        let Some(t) = cr.head.term() else {
+            continue;
+        };
+        regs.load_fire(cr, row(f), invented_of(f, cr));
+        let (store, view) = work.store_and_view();
+        let v = eval_term_id(t, &regs.vals, &view, store).ok_or_else(|| {
+            IqlError::Invalid(format!("head term of {} undefined at application", cr.rule))
+        })?;
+        f.head = Some(v);
+    }
+
+    // (c) Write the facts and collect the weak assignments.
+    let mut assignments: BTreeMap<Oid, BTreeSet<ValueId>> = BTreeMap::new();
+    for f in &fires {
+        let cr = &stage.rules[f.ri];
+        match &cr.head {
+            SHead::Rel(r, _) => {
+                let v = f.head.expect("head evaluated");
                 if work.insert_id(*r, v)? {
                     report.facts_added += 1;
                     changed = true;
                     delta_out.rels.entry(*r).or_default().insert(v);
                 }
             }
-            Head::Class(_, _) => {
+            SHead::Class(..) => {
                 // Membership was established by invention (or was already
                 // true for body-bound variables).
             }
-            Head::SetMember(x, t) => {
-                let oid = binding_oid_id(&full, x, work.store())?;
-                let v = {
-                    let (store, view) = work.store_and_view();
-                    eval_term_id(t, &full, &view, store)
-                }
-                .ok_or_else(|| {
-                    IqlError::Invalid(format!("head term {t} undefined at application"))
-                })?;
-                if work.add_set_member_id(oid, v)? {
+            SHead::SetMember(x, _) => {
+                regs.load_fire(cr, row(f), invented_of(f, cr));
+                let oid = binding_oid_id(cr, &regs.vals, *x, work.store())?;
+                if work.add_set_member_id(oid, f.head.expect("head evaluated"))? {
                     report.facts_added += 1;
                     changed = true;
                 }
             }
-            Head::Assign(x, t) => {
-                let oid = binding_oid_id(&full, x, work.store())?;
-                let v = {
-                    let (store, view) = work.store_and_view();
-                    eval_term_id(t, &full, &view, store)
-                }
-                .ok_or_else(|| {
-                    IqlError::Invalid(format!("head term {t} undefined at application"))
-                })?;
+            SHead::Assign(x, _) => {
+                regs.load_fire(cr, row(f), invented_of(f, cr));
+                let oid = binding_oid_id(cr, &regs.vals, *x, work.store())?;
+                let v = f.head.expect("head evaluated");
                 assignments.entry(oid).or_default().insert(v);
             }
-            Head::DeleteRel(..) | Head::DeleteOid(..) | Head::DeleteSetMember(..) => {
-                unreachable!("deletions routed above")
+            SHead::DeleteRel(..) | SHead::DeleteOid(..) | SHead::DeleteSetMember(..) => {
+                // Applied in phase 4.
             }
         }
     }
 
-    // Phase 3: weak assignments per condition (†).
+    // Phase 3: weak assignments per condition (†): a value is set only if
+    // it was undefined before the step — no phase before this one defines
+    // a non-set value, and `define_value_id` leaves a defined one alone —
+    // and derived uniquely this step.
     for (oid, values) in assignments {
-        if predefined.contains(&oid) {
-            continue; // value already determined — ignore new derivations
-        }
         if values.len() != 1 {
             continue; // ambiguous parallel derivations — ignore all
         }
@@ -1101,26 +1204,30 @@ fn one_step(
     }
 
     // Phase 4: deletions (IQL*) — applied last; deletion wins over a
-    // same-step addition.
-    for (ri, theta) in deletions {
-        let deleted = match &stage.rules[ri].head {
-            Head::DeleteRel(r, t) => match known_value(t, &theta, work) {
+    // same-step addition. A deleted value is the one the guard found in
+    // the pre-step instance.
+    for f in &fires {
+        let cr = &stage.rules[f.ri];
+        let deleted = match &cr.head {
+            SHead::DeleteRel(r, _) => match f.head {
                 Some(v) => work.remove_id(*r, v)?,
                 None => false,
             },
-            Head::DeleteOid(_, x) => {
-                let oid = binding_oid_id(&theta, x, work.store())?;
+            SHead::DeleteOid(_, x) => {
+                regs.load_fire(cr, row(f), &[]);
+                let oid = binding_oid_id(cr, &regs.vals, *x, work.store())?;
                 let live = work.class_of(oid).is_some();
                 if live {
                     work.delete_oid(oid)?;
                 }
                 live
             }
-            Head::DeleteSetMember(x, t) => {
-                let oid = binding_oid_id(&theta, x, work.store())?;
-                known_value(t, &theta, work).is_some_and(|v| work.remove_set_member_id(oid, v))
+            SHead::DeleteSetMember(x, _) => {
+                regs.load_fire(cr, row(f), &[]);
+                let oid = binding_oid_id(cr, &regs.vals, *x, work.store())?;
+                f.head.is_some_and(|v| work.remove_set_member_id(oid, v))
             }
-            _ => unreachable!(),
+            _ => continue,
         };
         if deleted {
             report.facts_deleted += 1;
@@ -1142,49 +1249,31 @@ fn one_step(
     })
 }
 
-/// Total order on two valuations of the same rule by variable name, then by
+/// Total order on two valuation rows of the same rule, slot by slot, by
 /// the tree order of the bound values ([`ValueReader::cmp_resolved`]) —
 /// id-numbering-independent, hence canonical across evaluation strategies.
-fn cmp_id_bindings(store: &ValueStore, a: &IdBinding, b: &IdBinding) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    let mut ib = b.iter();
-    for (va, ia) in a {
-        let Some((vb, id_b)) = ib.next() else {
-            return Ordering::Greater;
-        };
-        let o = va.cmp(vb).then_with(|| store.cmp_resolved(*ia, *id_b));
-        if o != Ordering::Equal {
-            return o;
-        }
-    }
-    if ib.next().is_some() {
-        Ordering::Less
-    } else {
-        Ordering::Equal
-    }
+fn cmp_rows(store: &ValueStore, a: &[ValueId], b: &[ValueId]) -> std::cmp::Ordering {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| store.cmp_resolved(x, y))
+        .find(|o| o.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
 }
 
-/// Evaluates a deletion head's term without growing the store. The term
-/// is interned through an [`Overlay`]: an overlay-local id names a value
-/// the store has never seen, which no fact can hold, so there is nothing
-/// to delete and `None` is returned — as it is for an undefined term.
-fn known_value(term: &Term, binding: &IdBinding, work: &Instance) -> Option<ValueId> {
-    let mut probe = Overlay::new(work.store());
-    let id = eval_term_id(term, binding, &work.id_view(), &mut probe)?;
-    ((id.raw() as usize) < work.store().len()).then_some(id)
-}
-
+/// The oid in register `x`, or an error naming the variable.
 fn binding_oid_id<R: ValueReader + ?Sized>(
-    binding: &IdBinding,
-    v: &VarName,
+    cr: &CompiledRule<'_>,
+    regs: &[Option<ValueId>],
+    x: Slot,
     reader: &R,
 ) -> Result<Oid> {
-    match binding.get(v).map(|&id| reader.as_oid(id)) {
+    match regs[x].map(|id| reader.as_oid(id)) {
         Some(Some(o)) => Ok(o),
         _ => {
-            let found = binding.get(v).map(|&id| reader.resolve(id));
+            let found = regs[x].map(|id| reader.resolve(id));
             Err(IqlError::Invalid(format!(
-                "variable {v} should be bound to an oid, found {found:?}"
+                "variable {} should be bound to an oid, found {found:?}",
+                cr.names[x]
             )))
         }
     }
@@ -1230,56 +1319,57 @@ fn choose_existing(
 // Term evaluation and pattern matching
 //
 // The evaluator works entirely on ValueIds: scans iterate interned fact
-// sets, joins probe id-keyed hash indexes, and bindings map variables to
-// Copy ids. Reads go through an IdView of the frozen
-// instance; values the rule text conjures out of thin air are interned
-// into the worker's Overlay (base-first lookup, so anything the base store
-// already knows keeps its base id — which makes base-id membership probes
-// sound even against overlay-produced ids).
+// sets, joins probe id-keyed hash indexes, and a valuation is a register
+// array indexed by the rule's variable slots. Reads go through an IdView
+// of the frozen instance; values the rule text conjures out of thin air
+// are interned into the worker's Overlay (base-first lookup, so anything
+// the base store already knows keeps its base id — which makes base-id
+// membership probes sound even against overlay-produced ids).
 //
 // One matcher serves both searches of Section 3.2: the body search wants
 // every valuation, the head guard only whether some extension exists. It
-// binds variables in place on one binding, hands each extension to a
-// continuation and unbinds before trying the next, so neither search
-// clones a binding per extension and the guard stops at its first hit.
+// binds registers in place, pushing each bound slot on the trail, hands
+// each extension to a continuation and unbinds before trying the next, so
+// neither search copies a valuation per extension and the guard stops at
+// its first hit.
 // ---------------------------------------------------------------------
 
-/// Evaluates a term under a binding; `None` means the valuation is
+/// Evaluates a term under the registers; `None` means the valuation is
 /// undefined on the term (unbound variable, or dereference of an undefined
 /// oid). Values the term builds are interned into `interner`.
 fn eval_term_id<I: ValueInterner>(
-    term: &Term,
-    binding: &IdBinding,
+    term: &STerm<'_>,
+    regs: &[Option<ValueId>],
     view: &IdView<'_>,
     interner: &mut I,
 ) -> Option<ValueId> {
     match term {
-        Term::Var(v) => binding.get(v).copied(),
-        Term::Const(c) => Some(interner.const_id(c.clone())),
-        Term::Rel(r) => {
+        STerm::Var(s) => regs[*s],
+        STerm::Const(c) => Some(interner.const_id((*c).clone())),
+        STerm::Rel(r) => {
             let ids: Vec<ValueId> = view.relation_ids(*r).ok()?.iter().copied().collect();
             Some(interner.set_id(ids))
         }
-        Term::Class(p) => {
+        STerm::Class(p) => {
             let oids: Vec<Oid> = view.class(*p).ok()?.iter().copied().collect();
             let ids: Vec<ValueId> = oids.into_iter().map(|o| interner.oid_id(o)).collect();
             Some(interner.set_id(ids))
         }
-        Term::Deref(v) => {
-            let o = interner.as_oid(*binding.get(v)?)?;
+        STerm::Deref(s) => {
+            let o = interner.as_oid(regs[*s]?)?;
             view.value_id(o)
         }
-        Term::Set(elems) => {
+        STerm::Set(elems) => {
             let mut ids = Vec::with_capacity(elems.len());
             for e in elems {
-                ids.push(eval_term_id(e, binding, view, interner)?);
+                ids.push(eval_term_id(e, regs, view, interner)?);
             }
             Some(interner.set_id(ids))
         }
-        Term::Tuple(fields) => {
+        STerm::Tuple { fields, .. } => {
             let mut entries = Vec::with_capacity(fields.len());
             for (a, t) in fields {
-                entries.push((*a, eval_term_id(t, binding, view, interner)?));
+                entries.push((*a, eval_term_id(t, regs, view, interner)?));
             }
             Some(interner.tuple_id(entries))
         }
@@ -1287,83 +1377,84 @@ fn eval_term_id<I: ValueInterner>(
 }
 
 /// The continuation a match hands each extension to, with the extended
-/// binding, the trail and the interner; `Break` stops the enumeration.
-type Cont<'k, I, B> = dyn FnMut(&mut IdBinding, &mut Vec<VarName>, &mut I) -> ControlFlow<B> + 'k;
+/// registers and the interner; `Break` stops the enumeration.
+type Cont<'k, I, B> = dyn FnMut(&mut Regs, &mut I) -> ControlFlow<B> + 'k;
 
 /// Matches `pattern` against the value behind `value`, calling `k` once per
-/// extension of `binding` that makes them equal. Most patterns are
+/// extension of the registers that makes them equal. Most patterns are
 /// deterministic (zero or one extension); set-literal patterns may match
 /// in several ways (`{x, y} = {1, 2}` binds both assignments), and each is
 /// a distinct valuation per the paper's semantics.
 ///
-/// Variables are bound in place and pushed on `trail`. On return `binding`
-/// and `trail` are as they were on entry, whether `k` let the enumeration
+/// Slots are bound in place and pushed on the trail. On return the
+/// registers are as they were on entry, whether `k` let the enumeration
 /// finish or stopped it with `Break` (which is returned).
 ///
-/// Newly bound variables are checked against their declared type: a
-/// valuation must satisfy `θx ∈ ⟦t⟧π` (Section 3.2). This is what makes
+/// Newly bound slots are checked against their declared type: a valuation
+/// must satisfy `θx ∈ ⟦t⟧π` (Section 3.2). This is what makes
 /// union-coercion equalities (`w = v` with `w` typed at one branch of
 /// `v`'s union type) act as runtime branch filters — exactly how the
 /// paper's Example 3.4.3 discriminates union values — and what restricts
 /// the head guard's extensions to *existing* objects of an invention
 /// variable's class.
-#[allow(clippy::too_many_arguments)]
 fn match_term<I: ValueInterner, B>(
-    pattern: &Term,
+    pattern: &STerm<'_>,
     value: ValueId,
-    binding: &mut IdBinding,
-    trail: &mut Vec<VarName>,
-    types: &BTreeMap<VarName, TypeExpr>,
+    regs: &mut Regs,
+    types: &[Option<&TypeExpr>],
     view: &IdView<'_>,
     interner: &mut I,
     k: &mut Cont<'_, I, B>,
 ) -> ControlFlow<B> {
+    let mark = regs.trail.len();
     let matched = match pattern {
-        Term::Var(v) => match binding.get(v) {
-            Some(&bound) => bound == value,
-            None => {
-                if types
-                    .get(v)
-                    .is_some_and(|ty| !ty.member_id(value, interner, view))
-                {
-                    return ControlFlow::Continue(()); // ill-typed binding is not a valuation
-                }
-                binding.insert(v.clone(), value);
-                trail.push(v.clone());
-                let flow = k(binding, trail, interner);
-                trail.pop();
-                binding.remove(v);
-                return flow;
-            }
+        STerm::Var(s) => match regs.vals[*s] {
+            Some(bound) => bound == value,
+            None => bind_checked(*s, value, regs, types, view, interner),
         },
-        Term::Const(c) => matches!(interner.node(value), Node::Const(c2) if c == c2),
-        Term::Rel(_) | Term::Class(_) | Term::Deref(_) => {
-            eval_term_id(pattern, binding, view, interner) == Some(value)
+        STerm::Const(c) => matches!(interner.node(value), Node::Const(c2) if *c == c2),
+        STerm::Rel(_) | STerm::Class(_) | STerm::Deref(_) => {
+            eval_term_id(pattern, &regs.vals, view, interner) == Some(value)
         }
-        Term::Tuple(fields) => {
+        STerm::Tuple { fields, flat: true } => {
+            // Every field is a variable or a constant: one pass over the
+            // tuple's entries binds or compares them all.
+            let Node::Tuple(entries) = interner.node(value) else {
+                return ControlFlow::Continue(());
+            };
+            fields.len() == entries.len()
+                && fields.iter().zip(entries.iter()).all(|((a, f), &(a2, v))| {
+                    *a == a2
+                        && match f {
+                            STerm::Var(s) => match regs.vals[*s] {
+                                Some(bound) => bound == v,
+                                None => bind_checked(*s, v, regs, types, view, interner),
+                            },
+                            STerm::Const(c) => {
+                                matches!(interner.node(v), Node::Const(c2) if *c == c2)
+                            }
+                            _ => unreachable!("a flat tuple holds variables and constants"),
+                        }
+                })
+        }
+        STerm::Tuple { fields, .. } => {
             let Node::Tuple(entries) = interner.node(value) else {
                 return ControlFlow::Continue(());
             };
             if fields.len() != entries.len()
-                || !fields.keys().copied().eq(entries.iter().map(|(a, _)| *a))
+                || !fields
+                    .iter()
+                    .map(|(a, _)| *a)
+                    .eq(entries.iter().map(|(a, _)| *a))
             {
                 return ControlFlow::Continue(());
             }
             // Both sides are attribute-sorted, so position i of the node
             // is the value of the i-th pattern field.
             let entries = Arc::clone(entries);
-            return match_fields(
-                fields.values(),
-                &entries,
-                binding,
-                trail,
-                types,
-                view,
-                interner,
-                k,
-            );
+            return match_fields(fields, &entries, regs, types, view, interner, k);
         }
-        Term::Set(pats) => {
+        STerm::Set(pats) => {
             let Node::Set(vals) = interner.node(value) else {
                 return ControlFlow::Continue(());
             };
@@ -1375,25 +1466,24 @@ fn match_term<I: ValueInterner, B>(
             }
             let vals = Arc::clone(vals);
             // Distinct assignments can produce identical extensions. Every
-            // assignment binds the same variables, so an extension is its
-            // new bindings in variable order: collect them, sort, dedup,
-            // and continue from each distinct one, keeping valuations
-            // set-like.
-            let mark = trail.len();
-            let mut exts: Vec<Vec<(VarName, ValueId)>> = Vec::new();
+            // assignment binds the same slots, so an extension is its new
+            // bindings in slot order: collect them, sort, dedup, and
+            // continue from each distinct one, keeping valuations set-like.
+            let mut exts: Vec<Vec<(Slot, ValueId)>> = Vec::new();
             let mut used = vec![false; vals.len()];
             let _ = match_bijections(
                 pats,
                 &vals,
                 &mut used,
-                binding,
-                trail,
+                regs,
                 types,
                 view,
                 interner,
-                &mut |b: &mut IdBinding, t: &mut Vec<VarName>, _: &mut I| {
-                    let mut ext: Vec<(VarName, ValueId)> =
-                        t[mark..].iter().map(|v| (v.clone(), b[v])).collect();
+                &mut |r: &mut Regs, _: &mut I| {
+                    let mut ext: Vec<(Slot, ValueId)> = r.trail[mark..]
+                        .iter()
+                        .map(|&s| (s, r.vals[s].expect("trailed slots are bound")))
+                        .collect();
                     ext.sort();
                     exts.push(ext);
                     ControlFlow::<()>::Continue(())
@@ -1402,75 +1492,84 @@ fn match_term<I: ValueInterner, B>(
             exts.sort();
             exts.dedup();
             for ext in exts {
-                for (v, id) in &ext {
-                    binding.insert(v.clone(), *id);
-                    trail.push(v.clone());
+                for &(s, id) in &ext {
+                    regs.bind(s, id);
                 }
-                let flow = k(binding, trail, interner);
-                for (v, _) in &ext {
-                    trail.pop();
-                    binding.remove(v);
-                }
+                let flow = k(regs, interner);
+                regs.unwind(mark);
                 flow?;
             }
             return ControlFlow::Continue(());
         }
     };
-    if matched {
-        k(binding, trail, interner)
+    let flow = if matched {
+        k(regs, interner)
     } else {
         ControlFlow::Continue(())
+    };
+    regs.unwind(mark);
+    flow
+}
+
+/// Binds unbound slot `s` to `value` if the value has the slot's declared
+/// type; an ill-typed binding is not a valuation.
+fn bind_checked<I: ValueReader>(
+    s: Slot,
+    value: ValueId,
+    regs: &mut Regs,
+    types: &[Option<&TypeExpr>],
+    view: &IdView<'_>,
+    interner: &I,
+) -> bool {
+    if types[s].is_some_and(|ty| !ty.member_id(value, interner, view)) {
+        return false;
     }
+    regs.bind(s, value);
+    true
 }
 
 /// Matches tuple field patterns in order against the aligned field values,
 /// then calls `k`.
-#[allow(clippy::too_many_arguments)]
 fn match_fields<I: ValueInterner, B>(
-    mut pats: btree_map::Values<'_, AttrName, Term>,
+    pats: &[(AttrName, STerm<'_>)],
     vals: &[(AttrName, ValueId)],
-    binding: &mut IdBinding,
-    trail: &mut Vec<VarName>,
-    types: &BTreeMap<VarName, TypeExpr>,
+    regs: &mut Regs,
+    types: &[Option<&TypeExpr>],
     view: &IdView<'_>,
     interner: &mut I,
     k: &mut Cont<'_, I, B>,
 ) -> ControlFlow<B> {
-    let (Some(p), Some(&(_, v))) = (pats.next(), vals.first()) else {
-        return k(binding, trail, interner);
+    let (Some(((_, p), rest)), Some(&(_, v))) = (pats.split_first(), vals.first()) else {
+        return k(regs, interner);
     };
-    let next = &mut |b: &mut IdBinding, t: &mut Vec<VarName>, i: &mut I| {
-        match_fields(pats.clone(), &vals[1..], b, t, types, view, i, k)
-    };
-    match_term(p, v, binding, trail, types, view, interner, next)
+    let next = &mut |r: &mut Regs, i: &mut I| match_fields(rest, &vals[1..], r, types, view, i, k);
+    match_term(p, v, regs, types, view, interner, next)
 }
 
 /// Matches each of `pats` onto a distinct unused element of `vals`, calling
 /// `k` once per complete assignment.
 #[allow(clippy::too_many_arguments)]
 fn match_bijections<I: ValueInterner, B>(
-    pats: &[Term],
+    pats: &[STerm<'_>],
     vals: &[ValueId],
     used: &mut [bool],
-    binding: &mut IdBinding,
-    trail: &mut Vec<VarName>,
-    types: &BTreeMap<VarName, TypeExpr>,
+    regs: &mut Regs,
+    types: &[Option<&TypeExpr>],
     view: &IdView<'_>,
     interner: &mut I,
     k: &mut Cont<'_, I, B>,
 ) -> ControlFlow<B> {
     let Some((p, rest)) = pats.split_first() else {
-        return k(binding, trail, interner);
+        return k(regs, interner);
     };
     for (i, &v) in vals.iter().enumerate() {
         if used[i] {
             continue;
         }
         used[i] = true;
-        let next = &mut |b: &mut IdBinding, t: &mut Vec<VarName>, i: &mut I| {
-            match_bijections(rest, vals, used, b, t, types, view, i, k)
-        };
-        let flow = match_term(p, v, binding, trail, types, view, interner, next);
+        let next =
+            &mut |r: &mut Regs, i: &mut I| match_bijections(rest, vals, used, r, types, view, i, k);
+        let flow = match_term(p, v, regs, types, view, interner, next);
         used[i] = false;
         flow?;
     }
@@ -1485,7 +1584,7 @@ fn match_bijections<I: ValueInterner, B>(
 /// for understanding evaluation cost (scans vs. hash joins vs. enumeration
 /// fallbacks) and exposed through the `iql explain` CLI subcommand.
 pub fn explain_rule(rule: &Rule) -> Result<String> {
-    let plan = build_plan(rule)?;
+    let plan = build_plan(&CompiledRule::new(rule))?;
     let mut out = format!("plan for: {rule}\n");
     render_ops(&plan, &mut out);
     Ok(out)
@@ -1496,7 +1595,7 @@ pub fn explain_rule(rule: &Rule) -> Result<String> {
 /// applied, probe indexes ensured — exactly what the planner's `plan_rule`
 /// hands the executor. Backs the CLI's `run --explain`.
 pub fn explain_rule_planned(rule: &Rule, work: &mut Instance, cfg: &EvalConfig) -> Result<String> {
-    let plan = plan_rule(rule, work, cfg)?;
+    let plan = plan_rule(&CompiledRule::new(rule), work, cfg)?;
     let mut out = format!(
         "plan for: {rule}{}\n",
         if plan.reordered { "  [reordered]" } else { "" }
@@ -1512,7 +1611,8 @@ fn render_ops(ops: &[Op<'_>], out: &mut String) {
             Op::Scan {
                 src,
                 pat,
-                probe: Some((attr, key)),
+                probe: Some(Probe { attr, key, .. }),
+                ..
             } => {
                 let _ = writeln!(
                     out,
@@ -1523,54 +1623,58 @@ fn render_ops(ops: &[Op<'_>], out: &mut String) {
                 src,
                 pat,
                 probe: None,
+                ..
             } => {
                 let _ = writeln!(out, "  {i}: scan {src}, match {pat}");
             }
-            Op::BindEq { src, pat } => {
+            Op::BindEq { src, pat, .. } => {
                 let _ = writeln!(out, "  {i}: eval {src}, match {pat}");
             }
-            Op::Enumerate { item: (var, ty) } => {
+            Op::Enumerate {
+                item: (var, ty), ..
+            } => {
                 let _ = writeln!(
                     out,
                     "  {i}: enumerate {var} over active-domain {ty}  [expensive]"
                 );
             }
-            Op::Filter { guard } => {
+            Op::Filter { guard, .. } => {
                 let _ = writeln!(out, "  {i}: filter {guard}");
             }
-            Op::NegGuard { guard } => {
+            Op::NegGuard { guard, .. } => {
                 let _ = writeln!(out, "  {i}: filter {guard}");
             }
         }
     }
 }
 
-/// Computes all valuations `θ` of the body variables with `I ⊨ θ body`,
-/// executing a pre-built [`RulePlan`] depth-first over one binding: each
-/// op extends the binding in place and recurses into the next, and the
-/// binding is cloned into the result after the last op. Valuations come out
-/// in breadth-first order all the same — each op's extensions of a binding
-/// in order, concatenated over the bindings in order.
+/// Appends to `out` the row of every valuation `θ` of the body variables
+/// with `I ⊨ θ body`, executing a pre-built [`RulePlan`] depth-first over
+/// one register array: each op binds registers in place and recurses into
+/// the next, and the body slots are copied out as a row after the last op.
+/// Valuations come out in breadth-first order all the same — each op's
+/// extensions of a valuation in order, concatenated over the valuations in
+/// order.
 ///
 /// When `delta` is `Some((d, i))`, the `i`-th relation/class scan of the
 /// plan draws from the delta instead of the full extent — the
 /// differentiated join of semi-naive evaluation. When `outer` is
 /// `Some((skip, take))`, the *first* plan op (a relation/class scan — the
 /// caller checks eligibility via [`outer_scan_len`]) iterates only that
-/// slice of its extent, in extent order — how one large rule is partitioned
-/// across parallel workers without perturbing valuation order.
+/// slice of its extent, in extent order — how one large rule is
+/// partitioned across parallel workers without perturbing valuation order.
 ///
-/// A relation scan with a statically chosen probe looks each binding's key
-/// up in one [`AttrIndex`]: the instance's *persistent* index for a
+/// A relation scan with a statically chosen probe looks each valuation's
+/// key up in one [`AttrIndex`]: the instance's *persistent* index for a
 /// full-extent scan (counted as `index_hits`), or one built over the
 /// materialized candidates for a delta or sliced scan, or when the
 /// persistent index is missing (`index_misses`). A scan without a probe
 /// matches every candidate. Such binding-independent [`OpState`] is built
-/// when the first binding reaches its op, so an op that no binding reaches
-/// reads nothing and raises no error.
+/// when the first valuation reaches its op, so an op that no valuation
+/// reaches reads nothing and raises no error.
 #[allow(clippy::too_many_arguments)]
 fn find_valuations_id(
-    rule: &Rule,
+    cr: &CompiledRule<'_>,
     plan: &RulePlan<'_>,
     inst: &Instance,
     view: &IdView<'_>,
@@ -1580,9 +1684,10 @@ fn find_valuations_id(
     delta: Option<(&Delta, usize)>,
     outer: Option<(usize, usize)>,
     counters: &mut ScanCounters,
-) -> Result<Vec<IdBinding>> {
+    out: &mut Rows,
+) -> Result<()> {
     let search = Search {
-        rule,
+        cr,
         ops: &plan.ops,
         inst,
         view: *view,
@@ -1595,10 +1700,10 @@ fn find_valuations_id(
     let mut walk = Walk {
         pacer: Pacer::new(gov),
         counters,
-        out: Vec::new(),
+        out,
     };
-    match search.descend(0, &mut IdBinding::new(), &mut Vec::new(), ov, &mut walk) {
-        ControlFlow::Continue(()) => Ok(walk.out),
+    match search.descend(0, &mut Regs::new(cr.nslots()), ov, &mut walk) {
+        ControlFlow::Continue(()) => Ok(()),
         ControlFlow::Break(e) => Err(e),
     }
 }
@@ -1606,7 +1711,7 @@ fn find_valuations_id(
 /// One valuation search: the read-only inputs of [`find_valuations_id`]
 /// and the state of each op.
 struct Search<'s, 'p, 'v> {
-    rule: &'s Rule,
+    cr: &'s CompiledRule<'p>,
     ops: &'s [Op<'p>],
     inst: &'s Instance,
     view: IdView<'v>,
@@ -1617,7 +1722,7 @@ struct Search<'s, 'p, 'v> {
     state: Vec<OnceCell<OpState<'v>>>,
 }
 
-/// What an op reads that does not depend on the binding.
+/// What an op reads that does not depend on the valuation.
 enum OpState<'v> {
     /// A relation scan with a probe: the index its keys are looked up in.
     Probe(Cow<'v, AttrIndex>),
@@ -1626,7 +1731,7 @@ enum OpState<'v> {
     Values(Vec<ValueId>),
     /// A class scan: the candidate oids, in extent order.
     Oids(Vec<Oid>),
-    /// Nothing beyond the binding.
+    /// Nothing beyond the valuation.
     Stateless,
 }
 
@@ -1634,7 +1739,7 @@ enum OpState<'v> {
 struct Walk<'c> {
     pacer: Pacer,
     counters: &'c mut ScanCounters,
-    out: Vec<IdBinding>,
+    out: &'c mut Rows,
 }
 
 impl Walk<'_> {
@@ -1671,25 +1776,36 @@ fn scan_candidates<T: Copy>(source: Option<&BTreeSet<T>>, slice: Option<(usize, 
 }
 
 impl<'v> Search<'_, '_, 'v> {
-    /// Extends `binding` through ops `i..`, pushing a clone of every
+    /// The set and element terms of the membership literal a scan reads.
+    fn member(&self, lit: usize) -> (&STerm<'_>, &STerm<'_>) {
+        match &self.cr.body[lit] {
+            SLit::Member { set, elem, .. } => (set, elem),
+            _ => unreachable!("a scan reads a membership literal"),
+        }
+    }
+
+    /// Extends the registers through ops `i..`, appending the row of every
     /// complete valuation to `walk.out`.
     fn descend(
         &self,
         i: usize,
-        binding: &mut IdBinding,
-        trail: &mut Vec<VarName>,
+        regs: &mut Regs,
         ov: &mut Overlay<'_>,
         walk: &mut Walk<'_>,
     ) -> ControlFlow<IqlError> {
         let Some(op) = self.ops.get(i) else {
-            walk.out.push(binding.clone());
+            debug_assert!(
+                self.cr.invent.iter().all(|&(s, _)| regs.vals[s].is_none()),
+                "a valuation binds exactly the body variables"
+            );
+            walk.out.push(&regs.vals, &self.cr.body_slots);
             return ControlFlow::Continue(());
         };
         // Cooperative poll for deadline/cancellation, strided so the
         // ungoverned hot path pays one predictable branch per tick. Ticks
-        // sit on the loops that can run away: per binding at every op, and
-        // per candidate in `each` (a divergent program spends whole steps
-        // inside a single binding's scan).
+        // sit on the loops that can run away: per valuation at every op,
+        // and per candidate in `each` (a divergent program spends whole
+        // steps inside a single valuation's scan).
         walk.tick(self.gov)?;
         let state = match self.state(i, ov) {
             Ok(state) => state,
@@ -1699,8 +1815,8 @@ impl<'v> Search<'_, '_, 'v> {
         match (op, state) {
             (
                 Op::Scan {
-                    pat,
-                    probe: Some((_, key)),
+                    lit,
+                    probe: Some(probe),
                     ..
                 },
                 OpState::Probe(index),
@@ -1710,56 +1826,71 @@ impl<'v> Search<'_, '_, 'v> {
                 } else {
                     walk.counters.index_misses += 1;
                 }
-                // The probe term is fully bound under every binding
+                let (_, pat) = self.member(*lit);
+                let STerm::Tuple { fields, .. } = pat else {
+                    unreachable!("a probe reads a tuple pattern's field")
+                };
+                // The probe term is fully bound under every valuation
                 // (planner invariant); if it is undefined, no fact can
                 // match. Postings are id-ordered, matching candidate
                 // order, so probing never changes valuation order.
-                let Some(key) = eval_term_id(key, binding, view, ov) else {
+                let Some(key) = eval_term_id(&fields[probe.field].1, &regs.vals, view, ov) else {
                     return ControlFlow::Continue(());
                 };
                 for &fid in index.get(key) {
-                    self.each(i, pat, fid, binding, trail, ov, walk)?;
+                    self.each(i, pat, fid, regs, ov, walk)?;
                 }
             }
-            (Op::Scan { pat, .. }, OpState::Values(facts)) => {
+            (Op::Scan { lit, .. }, OpState::Values(facts)) => {
+                let (_, pat) = self.member(*lit);
                 for &fid in facts {
-                    self.each(i, pat, fid, binding, trail, ov, walk)?;
+                    self.each(i, pat, fid, regs, ov, walk)?;
                 }
             }
-            (Op::Scan { pat, .. }, OpState::Oids(oids)) => {
+            (Op::Scan { lit, .. }, OpState::Oids(oids)) => {
+                let (_, pat) = self.member(*lit);
                 for &o in oids {
                     let vid = ov.oid_id(o);
-                    self.each(i, pat, vid, binding, trail, ov, walk)?;
+                    self.each(i, pat, vid, regs, ov, walk)?;
                 }
             }
-            (Op::Scan { src, pat, .. }, _) => {
+            (Op::Scan { lit, .. }, _) => {
+                let (set, pat) = self.member(*lit);
                 // Undefined or non-set ⇒ unsatisfied (typing!).
-                let Some(sid) = eval_term_id(src, binding, view, ov) else {
+                let Some(sid) = eval_term_id(set, &regs.vals, view, ov) else {
                     return ControlFlow::Continue(());
                 };
                 let Node::Set(elems) = ov.node(sid) else {
                     return ControlFlow::Continue(());
                 };
                 for &vid in Arc::clone(elems).iter() {
-                    self.each(i, pat, vid, binding, trail, ov, walk)?;
+                    self.each(i, pat, vid, regs, ov, walk)?;
                 }
             }
-            (Op::BindEq { src, pat }, _) => {
-                if let Some(val) = eval_term_id(src, binding, view, ov) {
-                    self.each(i, pat, val, binding, trail, ov, walk)?;
+            (Op::BindEq { lit, left_src, .. }, _) => {
+                let SLit::Eq { left, right, .. } = &self.cr.body[*lit] else {
+                    unreachable!("a bind reads an equality")
+                };
+                let (src, pat) = if *left_src {
+                    (left, right)
+                } else {
+                    (right, left)
+                };
+                if let Some(val) = eval_term_id(src, &regs.vals, view, ov) {
+                    self.each(i, pat, val, regs, ov, walk)?;
                 }
             }
-            (Op::Enumerate { item: (var, _) }, OpState::Values(ids)) => match binding.get(var) {
-                Some(&bound) => {
+            (Op::Enumerate { slot, .. }, OpState::Values(ids)) => match regs.vals[*slot] {
+                Some(bound) => {
                     if ids.contains(&bound) {
-                        self.descend(i + 1, binding, trail, ov, walk)?;
+                        self.descend(i + 1, regs, ov, walk)?;
                     }
                 }
                 None => {
                     for &id in ids {
-                        binding.insert(var.clone(), id);
-                        let flow = self.descend(i + 1, binding, trail, ov, walk);
-                        binding.remove(var);
+                        regs.vals[*slot] = Some(id);
+                        let flow = self.descend(i + 1, regs, ov, walk);
+                        regs.vals[*slot] = None;
                         flow?;
                     }
                 }
@@ -1767,11 +1898,11 @@ impl<'v> Search<'_, '_, 'v> {
             (Op::Enumerate { .. }, _) => unreachable!("an enumeration prepares its values"),
             // Positive guards and negation guards execute identically here
             // (`literal_satisfied_id` honours the literal's own polarity);
-            // the IR keeps them distinct because negation placement is the
-            // semantically delicate part of planning.
-            (Op::Filter { guard } | Op::NegGuard { guard }, _) => {
-                if literal_satisfied_id(guard, binding, view, ov) {
-                    self.descend(i + 1, binding, trail, ov, walk)?;
+            // the plan keeps them distinct because negation placement is
+            // the semantically delicate part of planning.
+            (Op::Filter { lit, .. } | Op::NegGuard { lit, .. }, _) => {
+                if literal_satisfied_id(&self.cr.body[*lit], &regs.vals, view, ov) {
+                    self.descend(i + 1, regs, ov, walk)?;
                 }
             }
         }
@@ -1780,23 +1911,18 @@ impl<'v> Search<'_, '_, 'v> {
 
     /// Matches `pat` against one candidate `value` of op `i` and continues
     /// with the next op, after a pacer tick.
-    #[allow(clippy::too_many_arguments)]
     fn each(
         &self,
         i: usize,
-        pat: &Term,
+        pat: &STerm<'_>,
         value: ValueId,
-        binding: &mut IdBinding,
-        trail: &mut Vec<VarName>,
+        regs: &mut Regs,
         ov: &mut Overlay<'_>,
         walk: &mut Walk<'_>,
     ) -> ControlFlow<IqlError> {
         walk.tick(self.gov)?;
-        let next = &mut |b: &mut IdBinding, t: &mut Vec<VarName>, ov: &mut Overlay<'_>| {
-            self.descend(i + 1, b, t, ov, walk)
-        };
-        let (types, view) = (&self.rule.var_types, &self.view);
-        match_term(pat, value, binding, trail, types, view, ov, next)
+        let next = &mut |r: &mut Regs, ov: &mut Overlay<'_>| self.descend(i + 1, r, ov, walk);
+        match_term(pat, value, regs, &self.cr.types, &self.view, ov, next)
     }
 
     /// The state of op `i`, built on the first call.
@@ -1837,16 +1963,18 @@ impl<'v> Search<'_, '_, 'v> {
                     // overlay-local id, which correctly misses every
                     // (base-id) index entry. Otherwise the index is built
                     // over the candidates.
-                    Some((attr, _)) => OpState::Probe(match self.view.rel_index(*r, *attr) {
-                        Some(index) if slice.is_none() && restrict.is_none() => {
-                            Cow::Borrowed(index)
-                        }
-                        _ => Cow::Owned(AttrIndex::build(
-                            *attr,
-                            scan_candidates(source, slice).into_iter(),
-                            &*ov,
-                        )),
-                    }),
+                    Some(Probe { attr, .. }) => {
+                        OpState::Probe(match self.view.rel_index(*r, *attr) {
+                            Some(index) if slice.is_none() && restrict.is_none() => {
+                                Cow::Borrowed(index)
+                            }
+                            _ => Cow::Owned(AttrIndex::build(
+                                *attr,
+                                scan_candidates(source, slice).into_iter(),
+                                &*ov,
+                            )),
+                        })
+                    }
                     None => OpState::Values(scan_candidates(source, slice)),
                 }
             }
@@ -1861,7 +1989,9 @@ impl<'v> Search<'_, '_, 'v> {
                 };
                 OpState::Oids(scan_candidates(source, slice))
             }
-            Op::Enumerate { item: (var, ty) } => {
+            Op::Enumerate {
+                item: (var, ty), ..
+            } => {
                 let values = self
                     .inst
                     .enumerate_type(ty, self.cfg.enum_budget)
@@ -1893,32 +2023,32 @@ impl<'v> Search<'_, '_, 'v> {
 /// class extent is decided against the id sets directly — no set value is
 /// materialized for the common `x ∈ R` / `x ∉ R` probes.
 fn literal_satisfied_id<I: ValueInterner>(
-    lit: &Literal,
-    binding: &IdBinding,
+    lit: &SLit<'_>,
+    regs: &[Option<ValueId>],
     view: &IdView<'_>,
     interner: &mut I,
 ) -> bool {
     match lit {
-        Literal::Member {
+        SLit::Member {
             set,
             elem,
             positive,
         } => {
-            let Some(ev) = eval_term_id(elem, binding, view, interner) else {
+            let Some(ev) = eval_term_id(elem, regs, view, interner) else {
                 return false; // valuation must be defined on both terms
             };
             match set {
-                Term::Rel(r) => view
+                STerm::Rel(r) => view
                     .relation_ids(*r)
                     .map(|s| s.contains(&ev) == *positive)
                     .unwrap_or(false),
-                Term::Class(p) => {
+                STerm::Class(p) => {
                     let Ok(s) = view.class(*p) else { return false };
                     let member = interner.as_oid(ev).map(|o| s.contains(&o)).unwrap_or(false);
                     member == *positive
                 }
                 _ => {
-                    let Some(sv) = eval_term_id(set, binding, view, interner) else {
+                    let Some(sv) = eval_term_id(set, regs, view, interner) else {
                         return false;
                     };
                     match interner.set_contains(sv, ev) {
@@ -1928,20 +2058,20 @@ fn literal_satisfied_id<I: ValueInterner>(
                 }
             }
         }
-        Literal::Eq {
+        SLit::Eq {
             left,
             right,
             positive,
         } => {
             let (Some(lv), Some(rv)) = (
-                eval_term_id(left, binding, view, interner),
-                eval_term_id(right, binding, view, interner),
+                eval_term_id(left, regs, view, interner),
+                eval_term_id(right, regs, view, interner),
             ) else {
                 return false;
             };
             (lv == rv) == *positive
         }
-        Literal::Choose => true,
+        SLit::Choose => true,
     }
 }
 
@@ -1949,8 +2079,11 @@ fn literal_satisfied_id<I: ValueInterner>(
 // Head-satisfaction guard (the val-dom "no extension" condition)
 // ---------------------------------------------------------------------
 
-/// Is there an extension `θ̄` of `θ` over the invention variables such that
-/// `I ⊨ θ̄ head`? (If so, the pair is *not* in the valuation-domain.)
+/// Is there an extension `θ̄` of the valuation in `regs` over the invention
+/// slots such that `I ⊨ θ̄ head`? (If so, the pair is *not* in the
+/// valuation-domain.) Where the guard evaluates the head term — a head
+/// without invention variables — it leaves the value in `head`, so apply
+/// derives the fact the guard tested, evaluated in the pre-step instance.
 ///
 /// Fully-bound heads reduce to a single id-set membership probe. With
 /// invention variables, candidate facts go through [`match_term`] with a
@@ -1958,41 +2091,40 @@ fn literal_satisfied_id<I: ValueInterner>(
 /// either side proves the value is absent from the frozen base store, so
 /// base-id comparisons stay sound throughout.
 fn head_satisfiable_id<I: ValueInterner>(
-    rule: &Rule,
-    theta: &IdBinding,
+    cr: &CompiledRule<'_>,
+    regs: &mut Regs,
     view: &IdView<'_>,
     interner: &mut I,
+    head: &mut Option<ValueId>,
 ) -> bool {
-    let no_invention = rule.invention_vars().is_empty();
-    // The matcher restores the binding it extends, so one copy of θ serves
-    // every candidate.
-    let mut scratch: Option<IdBinding> = None;
-    let mut extends = |t: &Term, value: ValueId, interner: &mut I| {
-        let b = scratch.get_or_insert_with(|| theta.clone());
-        let stop = &mut |_: &mut IdBinding, _: &mut Vec<VarName>, _: &mut I| ControlFlow::Break(());
-        let types = &rule.var_types;
-        match_term(t, value, b, &mut Vec::new(), types, view, interner, stop).is_break()
+    let no_invention = cr.invent.is_empty();
+    // The matcher restores the registers it extends, so one register array
+    // serves every candidate.
+    let extends = |t: &STerm<'_>, value: ValueId, regs: &mut Regs, interner: &mut I| {
+        let stop = &mut |_: &mut Regs, _: &mut I| ControlFlow::Break(());
+        match_term(t, value, regs, &cr.types, view, interner, stop).is_break()
     };
-    match &rule.head {
-        Head::Rel(r, t) => {
+    match &cr.head {
+        SHead::Rel(r, t) => {
             let Ok(facts) = view.relation_ids(*r) else {
                 return false;
             };
             if no_invention {
                 // Fully bound head: a set-membership probe suffices.
-                return eval_term_id(t, theta, view, interner).is_some_and(|v| facts.contains(&v));
+                *head = eval_term_id(t, &regs.vals, view, interner);
+                return head.is_some_and(|v| facts.contains(&v));
             }
-            facts.iter().any(|&fid| extends(t, fid, interner))
+            facts.iter().any(|&fid| extends(t, fid, regs, interner))
         }
-        Head::Class(p, v) => match theta.get(v) {
-            Some(&id) => match interner.as_oid(id) {
+        SHead::Class(p, v) => match regs.vals[*v] {
+            Some(id) => match interner.as_oid(id) {
                 Some(o) => view.class(*p).map(|s| s.contains(&o)).unwrap_or(false),
                 None => false,
             },
             // Invention variable: satisfied iff some existing oid inhabits P.
             None => view.class(*p).map(|s| !s.is_empty()).unwrap_or(false),
         },
-        Head::SetMember(x, t) => head_oids(rule, theta, x, view, interner)
+        SHead::SetMember(x, t) => head_oids(cr, &regs.vals, *x, view, interner)
             .into_iter()
             .any(|o| {
                 let Some(Node::Set(elems)) = view.value_id(o).map(|sid| interner.node(sid)) else {
@@ -2000,34 +2132,39 @@ fn head_satisfiable_id<I: ValueInterner>(
                 };
                 let elems = Arc::clone(elems);
                 if no_invention {
-                    return eval_term_id(t, theta, view, interner)
-                        .is_some_and(|v| elems.binary_search(&v).is_ok());
+                    *head = eval_term_id(t, &regs.vals, view, interner);
+                    return head.is_some_and(|v| elems.binary_search(&v).is_ok());
                 }
-                elems.iter().any(|&member| extends(t, member, interner))
+                elems
+                    .iter()
+                    .any(|&member| extends(t, member, regs, interner))
             }),
-        Head::Assign(x, t) => head_oids(rule, theta, x, view, interner)
+        SHead::Assign(x, t) => head_oids(cr, &regs.vals, *x, view, interner)
             .into_iter()
             .any(|o| match view.value_id(o) {
-                Some(vid) if no_invention => eval_term_id(t, theta, view, interner) == Some(vid),
-                Some(vid) => extends(t, vid, interner),
+                Some(vid) if no_invention => {
+                    *head = eval_term_id(t, &regs.vals, view, interner);
+                    *head == Some(vid)
+                }
+                Some(vid) => extends(t, vid, regs, interner),
                 None => false,
             }),
-        Head::DeleteRel(..) | Head::DeleteOid(..) | Head::DeleteSetMember(..) => false,
+        SHead::DeleteRel(..) | SHead::DeleteOid(..) | SHead::DeleteSetMember(..) => false,
     }
 }
 
-/// The objects an `x^` head can write: `θx`, or every existing member of
-/// the class of an invention variable `x`.
+/// The objects an `x^` head can write: the oid in register `x`, or every
+/// existing member of the class of an invention variable `x`.
 fn head_oids<I: ValueInterner>(
-    rule: &Rule,
-    theta: &IdBinding,
-    x: &VarName,
+    cr: &CompiledRule<'_>,
+    regs: &[Option<ValueId>],
+    x: Slot,
     view: &IdView<'_>,
     interner: &I,
 ) -> Vec<Oid> {
-    match theta.get(x) {
-        Some(&id) => interner.as_oid(id).into_iter().collect(),
-        None => match rule.var_types.get(x) {
+    match regs[x] {
+        Some(id) => interner.as_oid(id).into_iter().collect(),
+        None => match cr.types[x] {
             Some(TypeExpr::Class(p)) => view
                 .class(*p)
                 .map(|s| s.iter().copied().collect())
@@ -2037,30 +2174,34 @@ fn head_oids<I: ValueInterner>(
     }
 }
 
-/// Does the deletion head's target fact exist under `θ`?
+/// Does the deletion head's target fact exist under the valuation? The
+/// value to delete, where the head has a term, is left in `head`.
 fn deletion_applicable_id<I: ValueInterner>(
-    rule: &Rule,
-    theta: &IdBinding,
+    cr: &CompiledRule<'_>,
+    regs: &[Option<ValueId>],
     view: &IdView<'_>,
     interner: &mut I,
+    head: &mut Option<ValueId>,
 ) -> bool {
-    match &rule.head {
-        Head::DeleteRel(r, t) => match eval_term_id(t, theta, view, interner) {
-            Some(v) => view
-                .relation_ids(*r)
-                .map(|s| s.contains(&v))
-                .unwrap_or(false),
-            None => false,
-        },
-        Head::DeleteOid(p, x) => match theta.get(x).and_then(|&id| interner.as_oid(id)) {
+    match &cr.head {
+        SHead::DeleteRel(r, t) => {
+            *head = eval_term_id(t, regs, view, interner);
+            head.is_some_and(|v| {
+                view.relation_ids(*r)
+                    .map(|s| s.contains(&v))
+                    .unwrap_or(false)
+            })
+        }
+        SHead::DeleteOid(p, x) => match regs[*x].and_then(|id| interner.as_oid(id)) {
             Some(o) => view.class(*p).map(|s| s.contains(&o)).unwrap_or(false),
             None => false,
         },
-        Head::DeleteSetMember(x, t) => {
-            let Some(o) = theta.get(x).and_then(|&id| interner.as_oid(id)) else {
+        SHead::DeleteSetMember(x, t) => {
+            let Some(o) = regs[*x].and_then(|id| interner.as_oid(id)) else {
                 return false;
             };
-            let Some(v) = eval_term_id(t, theta, view, interner) else {
+            *head = eval_term_id(t, regs, view, interner);
+            let Some(v) = *head else {
                 return false;
             };
             view.value_id(o)
@@ -2301,15 +2442,12 @@ mod tests {
     fn eval_term_undefined_cases() {
         let unit = tc_unit();
         let mut input = unit.instance.unwrap();
-        let binding = IdBinding::new();
+        let regs = [None];
         let (store, view) = input.store_and_view();
         // Unbound variable → undefined.
-        assert_eq!(
-            eval_term_id(&Term::var("nope"), &binding, &view, store),
-            None
-        );
+        assert_eq!(eval_term_id(&STerm::Var(0), &regs, &view, store), None);
         // Relation term evaluates to its current contents as a set.
-        let v = eval_term_id(&Term::Rel(RelName::new("Edge")), &binding, &view, store).unwrap();
+        let v = eval_term_id(&STerm::Rel(RelName::new("Edge")), &regs, &view, store).unwrap();
         assert_eq!(store.as_set(v).map(<[ValueId]>::len), Some(2));
     }
 
@@ -2317,22 +2455,21 @@ mod tests {
     fn match_all_enumerates_set_assignments() {
         let unit = tc_unit();
         let mut input = unit.instance.unwrap();
-        let pattern = Term::set([Term::var("x"), Term::var("y")]);
+        let pattern = STerm::Set(vec![STerm::Var(0), STerm::Var(1)]);
         let (store, view) = input.store_and_view();
         let value = store.intern(&OValue::set([OValue::int(1), OValue::int(2)]));
-        let types = BTreeMap::new();
+        let types = [None, None];
         let matches = |value, store: &mut ValueStore, stop: bool| {
-            let (mut binding, mut trail, mut seen) = (IdBinding::new(), Vec::new(), Vec::new());
+            let (mut regs, mut seen) = (Regs::new(2), Vec::new());
             let flow = match_term(
                 &pattern,
                 value,
-                &mut binding,
-                &mut trail,
+                &mut regs,
                 &types,
                 &view,
                 store,
-                &mut |b: &mut IdBinding, _: &mut Vec<VarName>, _: &mut ValueStore| {
-                    seen.push(b.clone());
+                &mut |r: &mut Regs, _: &mut ValueStore| {
+                    seen.push(r.vals.clone());
                     if stop {
                         ControlFlow::Break(())
                     } else {
@@ -2340,7 +2477,10 @@ mod tests {
                     }
                 },
             );
-            assert!(binding.is_empty() && trail.is_empty(), "binding restored");
+            assert!(
+                regs.vals.iter().all(Option::is_none) && regs.trail.is_empty(),
+                "registers restored"
+            );
             assert_eq!(flow.is_break(), stop && !seen.is_empty());
             seen
         };

@@ -30,44 +30,283 @@
 //! wholesale, so `enum_fallbacks` counters are identical with the planner
 //! on or off.
 //!
+//! Before planning, each rule is compiled once per stage into a
+//! [`CompiledRule`]: its variables become dense slots (their order by
+//! name), its literals and head slot terms ([`STerm`]), and the facts that
+//! depend only on the rule text — body and invention slots, slot types,
+//! `choose`, semi-naive eligibility — are computed there. Ops keep the
+//! rule's own terms for ordering, probe choice and `explain`, and name the
+//! literal whose slot form the evaluator executes.
+//!
 //! A [`RulePlan`] borrows only the *rule*, never the instance: planning
 //! reads (and, for probe candidates, ensures) the instance's indexes
 //! transiently, so a built plan stays valid across steps and is cached by
 //! the evaluator keyed on the instance's statistics epoch
 //! ([`iql_model::Instance::stats_epoch`]).
 
-use crate::ast::{Literal, Rule, Term, VarName};
+use crate::ast::{Head, Literal, Rule, Term, VarName};
 use crate::error::{IqlError, Result};
 use crate::eval::EvalConfig;
 use iql_exec::choose_probe;
-use iql_model::{AttrName, ClassName, Instance, RelName, TypeExpr};
+use iql_model::{AttrName, ClassName, Constant, Instance, RelName, TypeExpr};
 use std::collections::BTreeSet;
 
+/// A rule variable's register: its index in the rule's variables sorted
+/// by name.
+pub(crate) type Slot = usize;
+
+/// A term with its variables resolved to slots — what the evaluator reads.
+pub(crate) enum STerm<'a> {
+    Var(Slot),
+    Deref(Slot),
+    Const(&'a Constant),
+    Rel(RelName),
+    Class(ClassName),
+    Set(Vec<STerm<'a>>),
+    /// Fields in attribute order. `flat` when every field is a variable or
+    /// a constant: such a pattern is matched by one loop over the tuple.
+    Tuple {
+        fields: Vec<(AttrName, STerm<'a>)>,
+        flat: bool,
+    },
+}
+
+/// A body literal over slot terms.
+pub(crate) enum SLit<'a> {
+    Member {
+        set: STerm<'a>,
+        elem: STerm<'a>,
+        positive: bool,
+    },
+    Eq {
+        left: STerm<'a>,
+        right: STerm<'a>,
+        positive: bool,
+    },
+    Choose,
+}
+
+/// A rule head over slots and slot terms, mirroring [`Head`].
+pub(crate) enum SHead<'a> {
+    Rel(RelName, STerm<'a>),
+    Class(ClassName, Slot),
+    SetMember(Slot, STerm<'a>),
+    Assign(Slot, STerm<'a>),
+    DeleteRel(RelName, STerm<'a>),
+    DeleteOid(ClassName, Slot),
+    DeleteSetMember(Slot, STerm<'a>),
+}
+
+impl SHead<'_> {
+    /// The head's term, if it has one.
+    pub fn term(&self) -> Option<&STerm<'_>> {
+        match self {
+            SHead::Rel(_, t)
+            | SHead::SetMember(_, t)
+            | SHead::Assign(_, t)
+            | SHead::DeleteRel(_, t)
+            | SHead::DeleteSetMember(_, t) => Some(t),
+            SHead::Class(..) | SHead::DeleteOid(..) => None,
+        }
+    }
+}
+
+/// Everything about a rule that depends only on its text, computed once
+/// per stage: the evaluator's search, head guard and apply read variables
+/// through these slots and never look a [`VarName`] up.
+pub(crate) struct CompiledRule<'a> {
+    pub rule: &'a Rule,
+    /// Slot → variable name, sorted; read only to place enumerations at
+    /// plan time and to name variables in errors.
+    pub names: Vec<VarName>,
+    /// Slot → declared type.
+    pub types: Vec<Option<&'a TypeExpr>>,
+    /// The body variables' slots, ascending: the columns of a valuation
+    /// row.
+    pub body_slots: Vec<Slot>,
+    /// The invention variables' slots, ascending, each with its class
+    /// (`None` if its type is not a class).
+    pub invent: Vec<(Slot, Option<ClassName>)>,
+    /// The body literals, parallel to `rule.body`.
+    pub body: Vec<SLit<'a>>,
+    pub head: SHead<'a>,
+    pub has_choose: bool,
+    /// The syntactic half of semi-naive eligibility; the other half is an
+    /// enumeration-free plan.
+    pub seminaive: bool,
+}
+
+impl<'a> CompiledRule<'a> {
+    pub fn new(rule: &'a Rule) -> Self {
+        let body_vars = rule.body_vars();
+        let mut vars = body_vars.clone();
+        rule.head.vars(&mut vars);
+        let names: Vec<VarName> = vars.iter().cloned().collect();
+        let slot = |v: &VarName| names.binary_search(v).expect("a variable of the rule");
+        let types = names.iter().map(|v| rule.var_types.get(v)).collect();
+        let body_slots = body_vars.iter().map(slot).collect();
+        let invent = vars
+            .difference(&body_vars)
+            .map(|v| match rule.var_types.get(v) {
+                Some(TypeExpr::Class(p)) => (slot(v), Some(*p)),
+                _ => (slot(v), None),
+            })
+            .collect();
+        let body = rule.body.iter().map(|l| compile_lit(l, &slot)).collect();
+        let t = |x: &'a Term| compile_term(x, &slot);
+        let head = match &rule.head {
+            Head::Rel(r, x) => SHead::Rel(*r, t(x)),
+            Head::Class(p, v) => SHead::Class(*p, slot(v)),
+            Head::SetMember(v, x) => SHead::SetMember(slot(v), t(x)),
+            Head::Assign(v, x) => SHead::Assign(slot(v), t(x)),
+            Head::DeleteRel(r, x) => SHead::DeleteRel(*r, t(x)),
+            Head::DeleteOid(p, v) => SHead::DeleteOid(*p, slot(v)),
+            Head::DeleteSetMember(v, x) => SHead::DeleteSetMember(slot(v), t(x)),
+        };
+        CompiledRule {
+            rule,
+            types,
+            body_slots,
+            invent,
+            body,
+            head,
+            has_choose: rule.has_choose(),
+            seminaive: seminaive_syntactic(rule),
+            names,
+        }
+    }
+
+    /// Number of registers a valuation of this rule needs.
+    pub fn nslots(&self) -> usize {
+        self.names.len()
+    }
+}
+
+fn compile_term<'a>(t: &'a Term, slot: &impl Fn(&VarName) -> Slot) -> STerm<'a> {
+    match t {
+        Term::Var(v) => STerm::Var(slot(v)),
+        Term::Deref(v) => STerm::Deref(slot(v)),
+        Term::Const(c) => STerm::Const(c),
+        Term::Rel(r) => STerm::Rel(*r),
+        Term::Class(p) => STerm::Class(*p),
+        Term::Set(elems) => STerm::Set(elems.iter().map(|e| compile_term(e, slot)).collect()),
+        Term::Tuple(fields) => STerm::Tuple {
+            flat: fields
+                .values()
+                .all(|f| matches!(f, Term::Var(_) | Term::Const(_))),
+            fields: fields
+                .iter()
+                .map(|(a, f)| (*a, compile_term(f, slot)))
+                .collect(),
+        },
+    }
+}
+
+fn compile_lit<'a>(lit: &'a Literal, slot: &impl Fn(&VarName) -> Slot) -> SLit<'a> {
+    match lit {
+        Literal::Member {
+            set,
+            elem,
+            positive,
+        } => SLit::Member {
+            set: compile_term(set, slot),
+            elem: compile_term(elem, slot),
+            positive: *positive,
+        },
+        Literal::Eq {
+            left,
+            right,
+            positive,
+        } => SLit::Eq {
+            left: compile_term(left, slot),
+            right: compile_term(right, slot),
+            positive: *positive,
+        },
+        Literal::Choose => SLit::Choose,
+    }
+}
+
+/// Is a rule syntactically eligible for delta-driven evaluation? Its truth
+/// at a valuation must depend only on relation/class facts (monotone) and
+/// the binding itself: no dereferences (ν changes untracked), no relation/
+/// class terms inside comparisons (their whole extent is state), no
+/// choose, no deletion. (Its plan must also be enumeration-free: the
+/// active domain grows.)
+fn seminaive_syntactic(rule: &Rule) -> bool {
+    fn simple(t: &Term) -> bool {
+        match t {
+            Term::Var(_) | Term::Const(_) => true,
+            Term::Rel(_) | Term::Class(_) | Term::Deref(_) => false,
+            Term::Set(elems) => elems.iter().all(simple),
+            Term::Tuple(fields) => fields.values().all(simple),
+        }
+    }
+    if rule.head.is_deletion() || rule.has_choose() {
+        return false;
+    }
+    // Head terms must be state-independent too: a head like `R1(z^)`
+    // derives a *different* fact as ν(z) grows, so its valuations must be
+    // re-fired every step (the constructive powerset depends on this).
+    let head_ok = match &rule.head {
+        Head::Rel(_, t) | Head::SetMember(_, t) | Head::Assign(_, t) => simple(t),
+        Head::Class(_, _) => true,
+        Head::DeleteRel(..) | Head::DeleteOid(..) | Head::DeleteSetMember(..) => false,
+    };
+    head_ok
+        && rule.body.iter().all(|lit| match lit {
+            Literal::Member { set, elem, .. } => {
+                matches!(set, Term::Rel(_) | Term::Class(_) | Term::Var(_)) && simple(elem)
+            }
+            Literal::Eq { left, right, .. } => simple(left) && simple(right),
+            Literal::Choose => false,
+        })
+}
+
 /// One step of a rule body's execution plan. A plan is a `Vec<Op>`
-/// executed left to right over a growing variable binding.
+/// executed left to right over a growing variable binding. Operands borrow
+/// the rule's terms, which ordering, probe choice and `explain` read; `lit`
+/// names the body literal whose slot form ([`CompiledRule::body`]) the
+/// evaluator executes.
 pub(crate) enum Op<'a> {
     /// Iterate the members of the set-denoting term `src`, matching `pat`
     /// against each (binds variables). `probe` narrows the iteration to an
-    /// index lookup — the indexed attribute and the term producing the
-    /// key — when the planner found a fully-bound tuple field.
+    /// index lookup when the planner found a fully-bound tuple field.
     Scan {
+        lit: usize,
         src: &'a Term,
         pat: &'a Term,
-        probe: Option<(AttrName, &'a Term)>,
+        probe: Option<Probe<'a>>,
     },
     /// Evaluate `src` (fully bound) and match `pat` against the single
     /// resulting value (binds variables) — an equality used as a binder.
-    BindEq { src: &'a Term, pat: &'a Term },
+    /// `left_src` says which side of the equality `src` is.
+    BindEq {
+        lit: usize,
+        left_src: bool,
+        src: &'a Term,
+        pat: &'a Term,
+    },
     /// Enumerate a variable's type over the active domain (the paper's
     /// valuation semantics; a budgeted last resort).
-    Enumerate { item: (VarName, TypeExpr) },
+    Enumerate {
+        slot: Slot,
+        item: (VarName, TypeExpr),
+    },
     /// A positive guard over fully-bound operands: keep the binding iff
     /// the literal holds.
-    Filter { guard: &'a Literal },
+    Filter { lit: usize, guard: &'a Literal },
     /// A negated literal over fully-bound operands: keep the binding iff
     /// it holds. Kept apart from [`Op::Filter`] because negation must run
     /// under full bindings and never earns a delta position.
-    NegGuard { guard: &'a Literal },
+    NegGuard { lit: usize, guard: &'a Literal },
+}
+
+/// A scan's index lookup: the indexed attribute, the term producing the
+/// key, and that term's position among the pattern's fields.
+pub(crate) struct Probe<'a> {
+    pub attr: AttrName,
+    pub key: &'a Term,
+    pub field: usize,
 }
 
 /// The source a relation/class scan draws from — what a semi-naive delta
@@ -121,8 +360,9 @@ fn lit_bound(lit: &Literal, bound: &BTreeSet<VarName>) -> bool {
 /// fallbacks where no positive literal can bind a variable (the paper's
 /// active-domain valuation semantics). This is the planner-off baseline and
 /// what `explain` renders.
-pub(crate) fn build_plan(rule: &Rule) -> Result<Vec<Op<'_>>> {
-    let mut remaining: Vec<&Literal> = rule.body.iter().collect();
+pub(crate) fn build_plan<'a>(cr: &CompiledRule<'a>) -> Result<Vec<Op<'a>>> {
+    let rule = cr.rule;
+    let mut remaining: Vec<(usize, &Literal)> = rule.body.iter().enumerate().collect();
     let mut bound: BTreeSet<VarName> = BTreeSet::new();
     let mut plan: Vec<Op> = Vec::new();
 
@@ -132,7 +372,7 @@ pub(crate) fn build_plan(rule: &Rule) -> Result<Vec<Op<'_>>> {
         //    variables (joins before cross products).
         let mut picked: Option<usize> = None;
         let mut best_score: isize = -1;
-        for (i, lit) in remaining.iter().enumerate() {
+        for (i, (_, lit)) in remaining.iter().enumerate() {
             if let Literal::Member {
                 set,
                 elem,
@@ -156,7 +396,7 @@ pub(crate) fn build_plan(rule: &Rule) -> Result<Vec<Op<'_>>> {
         }
         // 2. Else a positive equality with one side evaluable.
         if picked.is_none() {
-            for (i, lit) in remaining.iter().enumerate() {
+            for (i, (_, lit)) in remaining.iter().enumerate() {
                 if let Literal::Eq {
                     left,
                     right,
@@ -172,7 +412,7 @@ pub(crate) fn build_plan(rule: &Rule) -> Result<Vec<Op<'_>>> {
         }
         // 3. Else a fully-bound filter (negatives, inequalities, choose).
         if picked.is_none() {
-            for (i, lit) in remaining.iter().enumerate() {
+            for (i, (_, lit)) in remaining.iter().enumerate() {
                 if lit_bound(lit, &bound) {
                     picked = Some(i);
                     break;
@@ -181,8 +421,8 @@ pub(crate) fn build_plan(rule: &Rule) -> Result<Vec<Op<'_>>> {
         }
         match picked {
             Some(i) => {
-                let lit = remaining.remove(i);
-                push_picked(lit, &mut bound, &mut plan);
+                let (at, lit) = remaining.remove(i);
+                push_picked(at, lit, &mut bound, &mut plan);
             }
             None => {
                 // Stuck: enumerate the lexicographically first unbound
@@ -190,7 +430,7 @@ pub(crate) fn build_plan(rule: &Rule) -> Result<Vec<Op<'_>>> {
                 // variables range over their type's active-domain
                 // interpretation).
                 let mut vs = BTreeSet::new();
-                for lit in &remaining {
+                for (_, lit) in &remaining {
                     lit.vars(&mut vs);
                 }
                 let var = vs
@@ -203,7 +443,11 @@ pub(crate) fn build_plan(rule: &Rule) -> Result<Vec<Op<'_>>> {
                     .cloned()
                     .ok_or_else(|| IqlError::Invalid(format!("untyped variable {var}")))?;
                 bound.insert(var.clone());
-                plan.push(Op::Enumerate { item: (var, ty) });
+                let slot = cr.names.binary_search(&var).expect("a body variable");
+                plan.push(Op::Enumerate {
+                    slot,
+                    item: (var, ty),
+                });
             }
         }
     }
@@ -217,7 +461,12 @@ pub(crate) fn build_plan(rule: &Rule) -> Result<Vec<Op<'_>>> {
 /// coverable by a semi-naive delta position; negated literals become
 /// [`Op::NegGuard`]s, everything else fully bound (`choose`) an
 /// [`Op::Filter`].
-fn push_picked<'a>(lit: &'a Literal, bound: &mut BTreeSet<VarName>, plan: &mut Vec<Op<'a>>) {
+fn push_picked<'a>(
+    at: usize,
+    lit: &'a Literal,
+    bound: &mut BTreeSet<VarName>,
+    plan: &mut Vec<Op<'a>>,
+) {
     match lit {
         Literal::Member {
             set,
@@ -227,6 +476,7 @@ fn push_picked<'a>(lit: &'a Literal, bound: &mut BTreeSet<VarName>, plan: &mut V
             set.vars(bound);
             elem.vars(bound);
             plan.push(Op::Scan {
+                lit: at,
                 src: set,
                 pat: elem,
                 probe: None,
@@ -237,21 +487,33 @@ fn push_picked<'a>(lit: &'a Literal, bound: &mut BTreeSet<VarName>, plan: &mut V
             right,
             positive: true,
         } => {
-            let (src, pat) = if term_bound(left, bound) {
+            let left_src = term_bound(left, bound);
+            let (src, pat) = if left_src {
                 (left, right)
             } else {
                 (right, left)
             };
             pat.vars(bound);
-            plan.push(Op::BindEq { src, pat });
+            plan.push(Op::BindEq {
+                lit: at,
+                left_src,
+                src,
+                pat,
+            });
         }
         neg @ (Literal::Member {
             positive: false, ..
         }
         | Literal::Eq {
             positive: false, ..
-        }) => plan.push(Op::NegGuard { guard: neg }),
-        other => plan.push(Op::Filter { guard: other }),
+        }) => plan.push(Op::NegGuard {
+            lit: at,
+            guard: neg,
+        }),
+        other => plan.push(Op::Filter {
+            lit: at,
+            guard: other,
+        }),
     }
 }
 
@@ -342,27 +604,29 @@ fn member_cost(lit: &Literal, bound: &BTreeSet<VarName>, work: &mut Instance) ->
 /// Returns `None` when the greedy gets stuck — the caller falls back to the
 /// syntactic plan, which knows how to enumerate.
 fn build_plan_costed<'a>(rule: &'a Rule, work: &mut Instance) -> Option<Vec<Op<'a>>> {
-    let mut remaining: Vec<&'a Literal> = rule.body.iter().collect();
+    let mut remaining: Vec<(usize, &'a Literal)> = rule.body.iter().enumerate().collect();
     let mut bound: BTreeSet<VarName> = BTreeSet::new();
     let mut plan: Vec<Op<'a>> = Vec::new();
     while !remaining.is_empty() {
         // 1. Fully-bound non-member literals are free pruning — place all,
         //    textual order. (Members stay scans; see `push_picked`.)
-        if let Some(i) = remaining.iter().position(|lit| {
+        if let Some(i) = remaining.iter().position(|(_, lit)| {
             !matches!(lit, Literal::Member { positive: true, .. }) && lit_bound(lit, &bound)
         }) {
-            push_picked(remaining.remove(i), &mut bound, &mut plan);
+            let (at, lit) = remaining.remove(i);
+            push_picked(at, lit, &mut bound, &mut plan);
             continue;
         }
         // 2. An equality with one side evaluable binds variables for ~free —
         //    but only when its pattern side can actually bind them.
-        if let Some(i) = remaining.iter().position(|lit| eq_safe(lit, &bound)) {
-            push_picked(remaining.remove(i), &mut bound, &mut plan);
+        if let Some(i) = remaining.iter().position(|(_, lit)| eq_safe(lit, &bound)) {
+            let (at, lit) = remaining.remove(i);
+            push_picked(at, lit, &mut bound, &mut plan);
             continue;
         }
         // 3. Cheapest evaluable positive member.
         let mut picked: Option<(usize, usize)> = None; // (cost, index)
-        for (i, lit) in remaining.iter().enumerate() {
+        for (i, (_, lit)) in remaining.iter().enumerate() {
             if let Some(cost) = member_cost(lit, &bound, work) {
                 if picked.is_none_or(|(best, _)| cost < best) {
                     picked = Some((cost, i));
@@ -370,32 +634,30 @@ fn build_plan_costed<'a>(rule: &'a Rule, work: &mut Instance) -> Option<Vec<Op<'
             }
         }
         let (_, i) = picked?; // stuck ⇒ syntactic fallback
-        push_picked(remaining.remove(i), &mut bound, &mut plan);
+        let (at, lit) = remaining.remove(i);
+        push_picked(at, lit, &mut bound, &mut plan);
     }
     Some(plan)
 }
 
-/// Do two plans execute the same ops in the same order? Ops reference the
-/// rule's own literals, so pointer identity is exact. (Called before probe
-/// selection; probes never differ between equal orders.)
+/// Do two plans execute the same ops in the same order? An op is fixed by
+/// its body literal, and a bind-equality also by which side it evaluates.
+/// (Called before probe selection; probes never differ between equal
+/// orders.)
 fn same_order(a: &[Op], b: &[Op]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b.iter()).all(|(x, y)| match (x, y) {
-            (
-                Op::Scan {
-                    src: s1, pat: p1, ..
-                },
-                Op::Scan {
-                    src: s2, pat: p2, ..
-                },
-            ) => std::ptr::eq(*s1, *s2) && std::ptr::eq(*p1, *p2),
-            (Op::BindEq { src: s1, pat: p1 }, Op::BindEq { src: s2, pat: p2 }) => {
-                std::ptr::eq(*s1, *s2) && std::ptr::eq(*p1, *p2)
+    fn key(op: &Op) -> Option<(usize, bool)> {
+        match op {
+            Op::Scan { lit, .. } | Op::Filter { lit, .. } | Op::NegGuard { lit, .. } => {
+                Some((*lit, false))
             }
-            (Op::Filter { guard: g1 }, Op::Filter { guard: g2 })
-            | (Op::NegGuard { guard: g1 }, Op::NegGuard { guard: g2 }) => std::ptr::eq(*g1, *g2),
-            _ => false,
-        })
+            Op::BindEq { lit, left_src, .. } => Some((*lit, *left_src)),
+            Op::Enumerate { .. } => None,
+        }
+    }
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| key(x).is_some() && key(x) == key(y))
 }
 
 /// Statically chooses a probe attribute per scan of any plan, costed or
@@ -412,24 +674,29 @@ fn choose_probes(ops: &mut [Op<'_>], work: &mut Instance) {
             src: Term::Rel(r),
             pat: Term::Tuple(fields),
             probe,
+            ..
         } = op
         {
             // Candidates in attribute order: the shared policy keeps the
             // earliest on ties, so the choice is deterministic.
-            let candidates: Vec<(AttrName, &Term)> = fields
+            let candidates: Vec<Probe> = fields
                 .iter()
-                .filter(|(_, t)| term_bound(t, &bound))
-                .map(|(attr, t)| (*attr, t))
+                .enumerate()
+                .filter(|(_, (_, t))| term_bound(t, &bound))
+                .map(|(field, (attr, key))| Probe {
+                    attr: *attr,
+                    key,
+                    field,
+                })
                 .collect();
-            for (attr, _) in &candidates {
-                work.ensure_rel_index(*r, *attr);
+            for p in &candidates {
+                work.ensure_rel_index(*r, p.attr);
             }
             let stats = work.stats();
-            *probe = choose_probe(
-                candidates
-                    .into_iter()
-                    .map(|(attr, t)| ((attr, t), stats.attr_distinct(*r, attr))),
-            );
+            *probe = choose_probe(candidates.into_iter().map(|p| {
+                let distinct = stats.attr_distinct(*r, p.attr);
+                (p, distinct)
+            }));
         }
         match op {
             Op::Scan { src, pat, .. } => {
@@ -437,7 +704,7 @@ fn choose_probes(ops: &mut [Op<'_>], work: &mut Instance) {
                 pat.vars(&mut bound);
             }
             Op::BindEq { pat, .. } => pat.vars(&mut bound),
-            Op::Enumerate { item: (var, _) } => {
+            Op::Enumerate { item: (var, _), .. } => {
                 bound.insert(var.clone());
             }
             Op::Filter { .. } | Op::NegGuard { .. } => {}
@@ -453,11 +720,12 @@ fn choose_probes(ops: &mut [Op<'_>], work: &mut Instance) {
 /// its indexes ensured) transiently, so the result stays valid until the
 /// statistics epoch moves.
 pub(crate) fn plan_rule<'a>(
-    rule: &'a Rule,
+    cr: &CompiledRule<'a>,
     work: &mut Instance,
     cfg: &EvalConfig,
 ) -> Result<RulePlan<'a>> {
-    let syntactic = build_plan(rule)?;
+    let rule = cr.rule;
+    let syntactic = build_plan(cr)?;
     let enum_fallbacks = syntactic
         .iter()
         .filter(|op| matches!(op, Op::Enumerate { .. }))

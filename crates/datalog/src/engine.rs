@@ -35,9 +35,9 @@ use crate::stratify::stratify;
 use crate::{DlError, Result};
 use iql_core::govern::{AbortReason, Governor, Pacer};
 use iql_exec::{choose_probe, effective_threads, run_tasks};
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default cap on fixpoint rounds for the ungoverned [`eval`]/[`eval_with`]
 /// entry points. Datalog's Herbrand base is finite, so every program
@@ -47,11 +47,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// [`EvalStats::trip`]` = Some(StepLimit)`.
 pub const DEFAULT_MAX_ROUNDS: usize = 1_000_000;
 
-/// Test-only fault injection: set to a rule index to make that rule's next
-/// join task panic, exercising the `catch_unwind` containment path.
-/// `usize::MAX` (the default) injects nothing.
-#[doc(hidden)]
-pub static TEST_PANIC_RULE: AtomicUsize = AtomicUsize::new(usize::MAX);
+thread_local! {
+    /// Test-only fault injection: set it to a rule index on the thread that
+    /// calls [`eval_governed`] to make that rule's join tasks panic,
+    /// exercising the `catch_unwind` containment path. It is read once per
+    /// evaluation, on the calling thread, so evaluations on other threads
+    /// never see it. `usize::MAX` (the default) injects nothing.
+    #[doc(hidden)]
+    pub static TEST_PANIC_RULE: Cell<usize> = const { Cell::new(usize::MAX) };
+}
 
 /// Statistics from one evaluation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -414,6 +418,8 @@ fn join_rule(
 struct JoinTask<'r, 'd> {
     /// Index of the rule in the stratum's rule list — panic attribution.
     ri: usize,
+    /// The evaluation's [`TEST_PANIC_RULE`], read at its entry.
+    panic_rule: usize,
     rule: &'d CompiledRule<'r>,
     read: &'d IdDatabase,
     delta: Option<(&'d IdDatabase, usize)>,
@@ -426,7 +432,7 @@ type TaskOut = std::result::Result<Derived, AbortReason>;
 
 impl JoinTask<'_, '_> {
     fn run(&self, gov: &Governor) -> TaskOut {
-        if TEST_PANIC_RULE.load(Ordering::Relaxed) == self.ri {
+        if self.panic_rule == self.ri {
             panic!("injected panic for rule {} (test hook)", self.ri);
         }
         let mut out = Derived::default();
@@ -551,6 +557,7 @@ pub fn eval_governed(
     gov: &Governor,
 ) -> Result<(Database, EvalStats)> {
     let threads = effective_threads(threads);
+    let panic_rule = TEST_PANIC_RULE.get();
     // The run writes a copy-on-write fork of its input, never the input
     // itself: relations are shared until first written, and the program's
     // new constants go into the fork's own pool top. Derivation only
@@ -569,12 +576,20 @@ pub fn eval_governed(
     match strategy {
         Strategy::Naive | Strategy::Inflationary => {
             let rules = compile_rules(&prog.rules, pool);
-            fixpoint(&rules, db, None, threads, gov, &mut stats)?;
+            fixpoint(&rules, db, None, threads, panic_rule, gov, &mut stats)?;
         }
         Strategy::SemiNaive => {
             let rules = compile_rules(&prog.rules, pool);
             let no_negation = IdDatabase::new();
-            fixpoint(&rules, db, Some(&no_negation), threads, gov, &mut stats)?;
+            fixpoint(
+                &rules,
+                db,
+                Some(&no_negation),
+                threads,
+                panic_rule,
+                gov,
+                &mut stats,
+            )?;
         }
         Strategy::Stratified => {
             for stratum in &stratify(prog)? {
@@ -588,7 +603,15 @@ pub fn eval_governed(
                     .flat_map(|r| r.negatives.iter().map(|n| n.rel))
                     .collect();
                 let neg_view = db.freeze_view(neg_rels.iter().copied());
-                fixpoint(&rules, db, Some(&neg_view), threads, gov, &mut stats)?;
+                fixpoint(
+                    &rules,
+                    db,
+                    Some(&neg_view),
+                    threads,
+                    panic_rule,
+                    gov,
+                    &mut stats,
+                )?;
                 if stats.trip.is_some() {
                     // A trip invalidates the "lower strata are complete"
                     // premise of every later stratum — stop here.
@@ -651,11 +674,13 @@ fn require_positive(prog: &Program) -> Result<()> {
 /// per (rule, positive atom whose relation gained tuples in the previous
 /// round), with negation reading the frozen `view` of completed lower
 /// strata — the only negation under which differentiating is sound.
+/// `panic_rule` is the evaluation's [`TEST_PANIC_RULE`].
 fn fixpoint(
     rules: &[CompiledRule<'_>],
     db: &mut IdDatabase,
     frozen_neg: Option<&IdDatabase>,
     threads: usize,
+    panic_rule: usize,
     gov: &Governor,
     stats: &mut EvalStats,
 ) -> Result<()> {
@@ -681,6 +706,7 @@ fn fixpoint(
                     if rule_supported(rule, db, delta) {
                         tasks.push(JoinTask {
                             ri,
+                            panic_rule,
                             rule,
                             read: db,
                             delta,

@@ -432,15 +432,15 @@ fn datalog_deadline_stops_a_heavy_closure() {
     }
 }
 
-/// Both panic-injection scenarios share the process-global
-/// `TEST_PANIC_RULE` switch, so they run inside one test to stay
-/// serialized under the parallel test harness.
+/// The `TEST_PANIC_RULE` switch is thread-local and read once per
+/// evaluation on the calling thread, so it reaches the worker threads of
+/// this test's evaluations and no evaluation of a concurrently running test.
 #[test]
 fn datalog_worker_panic_is_contained() {
     use iql::datalog::engine::TEST_PANIC_RULE;
     let prog = parse_program("A(y) :- Edge(x, y). B(x) :- Edge(x, y).").unwrap();
     let edb = dl_chain(3);
-    TEST_PANIC_RULE.store(0, Ordering::SeqCst);
+    TEST_PANIC_RULE.set(0);
     // Governed entry point: graceful — rule 1's tuples survive the round.
     let (db, stats) =
         dl_eval_governed(&prog, &edb, Strategy::Naive, 2, &Governor::unlimited()).unwrap();
@@ -454,7 +454,7 @@ fn datalog_worker_panic_is_contained() {
     // round: round 1 derives `Tc = Edge`, and its only task panics in
     // round 2.
     let tc = parse_program(DL_TC).unwrap();
-    TEST_PANIC_RULE.store(1, Ordering::SeqCst);
+    TEST_PANIC_RULE.set(1);
     for strategy in [Strategy::SemiNaive, Strategy::Stratified] {
         let (db, stats) = dl_eval_governed(&tc, &edb, strategy, 2, &Governor::unlimited()).unwrap();
         assert_eq!(stats.trip, Some(AbortReason::WorkerPanic { rule: 1 }));
@@ -463,5 +463,5 @@ fn datalog_worker_panic_is_contained() {
         let err = dl_eval_with(&tc, &edb, strategy, 2).unwrap_err();
         assert_eq!(err, DlError::WorkerPanic { rule: 1 });
     }
-    TEST_PANIC_RULE.store(usize::MAX, Ordering::SeqCst);
+    TEST_PANIC_RULE.set(usize::MAX);
 }

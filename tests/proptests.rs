@@ -1006,3 +1006,96 @@ fn cyclic_nu_values_intern_losslessly() {
         assert_eq!(fresh.intern(&v), re, "re-interning is stable");
     }
 }
+
+// ---------------------------------------------------------------------
+// Rule order within a stage is unobservable (8 cases)
+// ---------------------------------------------------------------------
+
+/// Every terminating example program, and a stage that fills a set-valued
+/// object while another rule of it reads the object's value.
+const RULE_ORDER_UNITS: [&str; 7] = [
+    include_str!("../examples/iql/deletions.iql"),
+    include_str!("../examples/iql/genesis.iql"),
+    include_str!("../examples/iql/graph.iql"),
+    include_str!("../examples/iql/powerset.iql"),
+    include_str!("../examples/iql/tc.iql"),
+    include_str!("../examples/iql/university.iql"),
+    r#"
+    schema {
+      relation A: [v: D];
+      relation Has: [c: C];
+      relation Out: [s: {D}];
+      class C: {D};
+    }
+    program {
+      input A;
+      output Out;
+      stage { Has(c) :- A("k"); }
+      stage {
+        c^(x) :- Has(c), A(x);
+        Out(c^) :- Has(c);
+      }
+    }
+    instance { A("k"); A("m"); }
+    "#,
+];
+
+#[test]
+fn rule_order_within_a_stage_is_unobservable() {
+    use iql::model::iso::are_o_isomorphic;
+    let units: Vec<(Program, Instance)> = RULE_ORDER_UNITS
+        .iter()
+        .map(|src| {
+            let unit = parse_unit(src).unwrap();
+            let prog = unit.program.unwrap();
+            let input = unit
+                .instance
+                .unwrap_or_else(|| Instance::new(Arc::clone(&prog.input)));
+            (prog, input)
+        })
+        .collect();
+    check("rule_order_within_a_stage_is_unobservable", 8, |rng| {
+        for (prog, input) in &units {
+            // `perms[s][j]` is the original index of the rule listed j-th
+            // in stage `s` of the permuted program.
+            let perms: Vec<Vec<usize>> = prog
+                .stages
+                .iter()
+                .map(|stage| {
+                    let mut perm: Vec<usize> = (0..stage.rules.len()).collect();
+                    shuffle(rng, &mut perm);
+                    perm
+                })
+                .collect();
+            let mut permuted = prog.clone();
+            for (stage, perm) in permuted.stages.iter_mut().zip(&perms) {
+                stage.rules = perm.iter().map(|&i| stage.rules[i].clone()).collect();
+            }
+            for threads in [1, 4] {
+                let cfg = EvalConfig::builder().threads(threads).build();
+                let a = run(prog, input, &cfg).unwrap();
+                let b = run(&permuted, input, &cfg).unwrap();
+                let label = format!("{perms:?} at {threads} threads in\n{prog}");
+                assert!(are_o_isomorphic(&a.output, &b.output), "output: {label}");
+                assert!(are_o_isomorphic(&a.full, &b.full), "full: {label}");
+                let (ra, rb) = (&a.report, &b.report);
+                assert_eq!(
+                    (ra.steps, ra.invented, ra.facts_added),
+                    (rb.steps, rb.invented, rb.facts_added),
+                    "{label}"
+                );
+                assert_eq!(
+                    (ra.facts_deleted, ra.enum_fallbacks),
+                    (rb.facts_deleted, rb.enum_fallbacks),
+                    "{label}"
+                );
+                let fires: BTreeMap<(usize, usize), usize> = rb
+                    .rule_fires
+                    .iter()
+                    .map(|(&(s, j), &n)| ((s, perms[s][j]), n))
+                    .collect();
+                assert_eq!(ra.rule_fires, fires, "{label}");
+            }
+        }
+    });
+}

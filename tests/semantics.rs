@@ -3,7 +3,7 @@
 
 use iql::model::iso::are_o_isomorphic;
 use iql::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn cfg() -> EvalConfig {
@@ -456,4 +456,110 @@ fn insertion_order_and_runs_leave_no_trace() {
     assert_eq!(input, snapshot);
     assert_eq!(input.store().len(), nodes, "the run interned into a fork");
     assert_eq!(run(&prog, &input, &cfg()).unwrap().output, first.output);
+}
+
+// ---------------------------------------------------------------------
+// Head terms are evaluated in the pre-step instance (Section 3.2)
+// ---------------------------------------------------------------------
+
+/// A program whose second stage fills the set-valued object `c` and, in
+/// the same step, derives `Out(c^)`. `swapped` lists the two rules of that
+/// stage the other way round.
+fn fill_and_read(swapped: bool) -> String {
+    let (fill, read) = ("c^(x) :- Has(c), A(x);", "Out(c^) :- Has(c);");
+    let (first, second) = if swapped { (read, fill) } else { (fill, read) };
+    format!(
+        r#"
+        schema {{
+          relation A: [v: D];
+          relation Has: [c: C];
+          relation Out: [s: {{D}}];
+          class C: {{D}};
+        }}
+        program {{
+          input A;
+          output Out;
+          stage {{ Has(c) :- A("k"); }}
+          stage {{
+            {first}
+            {second}
+          }}
+        }}
+        instance {{ A("k"); A("m"); }}
+        "#
+    )
+}
+
+/// `{[s: {e1, …}], …}` over string constants.
+fn string_sets(sets: &[&[&str]]) -> BTreeSet<OValue> {
+    sets.iter()
+        .map(|s| OValue::tuple([("s", OValue::set(s.iter().map(|e| OValue::str(e))))]))
+        .collect()
+}
+
+/// The evaluator configurations a semantic pin must hold under.
+fn arms() -> Vec<EvalConfig> {
+    let mut out = Vec::new();
+    for threads in [1, 4] {
+        for seminaive in [true, false] {
+            out.push(
+                EvalConfig::builder()
+                    .threads(threads)
+                    .seminaive(seminaive)
+                    .build(),
+            );
+        }
+    }
+    out
+}
+
+#[test]
+fn head_terms_read_the_pre_step_instance_in_any_rule_order() {
+    // Step 1 of the second stage adds "k" and "m" to c's set and derives
+    // Out(c^) with c^ as it was before the step, {}; step 2 derives
+    // Out({"k", "m"}). Listing order of the two rules must not matter.
+    let want = string_sets(&[&[], &["k", "m"]]);
+    for swapped in [false, true] {
+        let unit = parse_unit(&fill_and_read(swapped)).unwrap();
+        let (prog, input) = (unit.program.unwrap(), unit.instance.unwrap());
+        for cfg in arms() {
+            let out = run(&prog, &input, &cfg).unwrap();
+            let got = out.output.relation(RelName::new("Out")).unwrap();
+            assert_eq!(got, &want, "swapped={swapped} {cfg:?}");
+        }
+    }
+}
+
+#[test]
+fn a_fired_deletion_deletes_the_fact_its_guard_saw() {
+    // `del Out(c^)` fires in the step that fills c's set, because Out({})
+    // holds before it; the fact deleted is that one, not Out(c^) read after
+    // the fill.
+    let src = r#"
+        schema {
+          relation A: [v: D];
+          relation Has: [c: C];
+          relation Out: [s: {D}];
+          class C: {D};
+        }
+        program {
+          input A;
+          output Out;
+          stage { Has(c) :- A("k"); }
+          stage { Out({}); }
+          stage {
+            c^(x) :- Has(c), A(x);
+            del Out(c^) :- Has(c);
+          }
+        }
+        instance { A("k"); A("m"); }
+    "#;
+    let unit = parse_unit(src).unwrap();
+    let (prog, input) = (unit.program.unwrap(), unit.instance.unwrap());
+    for cfg in arms() {
+        let out = run(&prog, &input, &cfg).unwrap();
+        let got = out.output.relation(RelName::new("Out")).unwrap();
+        assert!(got.is_empty(), "{cfg:?}: Out = {got:?}");
+        assert_eq!(out.report.facts_deleted, 1, "{cfg:?}");
+    }
 }
