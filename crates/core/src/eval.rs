@@ -37,7 +37,7 @@ use crate::ast::{Program, Rule, Stage, Term};
 use crate::error::{IqlError, Result};
 use crate::govern::{governor_from_config, AbortReason, Aborted, Governor, Pacer, RunOutcome};
 use crate::planner::{
-    build_plan, plan_rule, CompiledRule, Op, PlanSource, Probe, RulePlan, SHead, SLit, STerm, Slot,
+    plan_rule, CompiledRule, Op, PlanSource, Probe, RulePlan, SHead, SLit, STerm, Slot,
 };
 use iql_exec::{chunk_ranges, run_tasks};
 use iql_model::iso::orbits;
@@ -1584,9 +1584,10 @@ fn match_bijections<I: ValueInterner, B>(
 /// for understanding evaluation cost (scans vs. hash joins vs. enumeration
 /// fallbacks) and exposed through the `iql explain` CLI subcommand.
 pub fn explain_rule(rule: &Rule) -> Result<String> {
-    let plan = build_plan(&CompiledRule::new(rule))?;
+    let cr = CompiledRule::new(rule);
+    let (plan, _) = cr.syntactic.as_ref().map_err(Clone::clone)?;
     let mut out = format!("plan for: {rule}\n");
-    render_ops(&plan, &mut out);
+    render_ops(plan, &mut out);
     Ok(out)
 }
 

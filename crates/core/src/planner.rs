@@ -116,8 +116,8 @@ impl SHead<'_> {
 /// through these slots and never look a [`VarName`] up.
 pub(crate) struct CompiledRule<'a> {
     pub rule: &'a Rule,
-    /// Slot → variable name, sorted; read only to place enumerations at
-    /// plan time and to name variables in errors.
+    /// Slot → variable name, sorted; read only to place enumerations in
+    /// the syntactic plan and to name variables in errors.
     pub names: Vec<VarName>,
     /// Slot → declared type.
     pub types: Vec<Option<&'a TypeExpr>>,
@@ -134,6 +134,11 @@ pub(crate) struct CompiledRule<'a> {
     /// The syntactic half of semi-naive eligibility; the other half is an
     /// enumeration-free plan.
     pub seminaive: bool,
+    /// The syntactic plan ([`build_plan`]) with its number of
+    /// [`Op::Enumerate`] fallbacks — text-only, so built here once rather
+    /// than per fresh plan. `Err` if the body cannot be planned, returned
+    /// when the rule is first planned.
+    pub syntactic: Result<(Vec<Op<'a>>, usize)>,
 }
 
 impl<'a> CompiledRule<'a> {
@@ -163,6 +168,13 @@ impl<'a> CompiledRule<'a> {
             Head::DeleteOid(p, v) => SHead::DeleteOid(*p, slot(v)),
             Head::DeleteSetMember(v, x) => SHead::DeleteSetMember(slot(v), t(x)),
         };
+        let syntactic = build_plan(rule, &names).map(|ops| {
+            let enum_fallbacks = ops
+                .iter()
+                .filter(|op| matches!(op, Op::Enumerate { .. }))
+                .count();
+            (ops, enum_fallbacks)
+        });
         CompiledRule {
             rule,
             types,
@@ -173,6 +185,7 @@ impl<'a> CompiledRule<'a> {
             has_choose: rule.has_choose(),
             seminaive: seminaive_syntactic(rule),
             names,
+            syntactic,
         }
     }
 
@@ -267,6 +280,7 @@ fn seminaive_syntactic(rule: &Rule) -> bool {
 /// the rule's terms, which ordering, probe choice and `explain` read; `lit`
 /// names the body literal whose slot form ([`CompiledRule::body`]) the
 /// evaluator executes.
+#[derive(Clone)]
 pub(crate) enum Op<'a> {
     /// Iterate the members of the set-denoting term `src`, matching `pat`
     /// against each (binds variables). `probe` narrows the iteration to an
@@ -303,6 +317,7 @@ pub(crate) enum Op<'a> {
 
 /// A scan's index lookup: the indexed attribute, the term producing the
 /// key, and that term's position among the pattern's fields.
+#[derive(Clone)]
 pub(crate) struct Probe<'a> {
     pub attr: AttrName,
     pub key: &'a Term,
@@ -360,8 +375,7 @@ fn lit_bound(lit: &Literal, bound: &BTreeSet<VarName>) -> bool {
 /// fallbacks where no positive literal can bind a variable (the paper's
 /// active-domain valuation semantics). This is the planner-off baseline and
 /// what `explain` renders.
-pub(crate) fn build_plan<'a>(cr: &CompiledRule<'a>) -> Result<Vec<Op<'a>>> {
-    let rule = cr.rule;
+fn build_plan<'a>(rule: &'a Rule, names: &[VarName]) -> Result<Vec<Op<'a>>> {
     let mut remaining: Vec<(usize, &Literal)> = rule.body.iter().enumerate().collect();
     let mut bound: BTreeSet<VarName> = BTreeSet::new();
     let mut plan: Vec<Op> = Vec::new();
@@ -443,7 +457,7 @@ pub(crate) fn build_plan<'a>(cr: &CompiledRule<'a>) -> Result<Vec<Op<'a>>> {
                     .cloned()
                     .ok_or_else(|| IqlError::Invalid(format!("untyped variable {var}")))?;
                 bound.insert(var.clone());
-                let slot = cr.names.binary_search(&var).expect("a body variable");
+                let slot = names.binary_search(&var).expect("a body variable");
                 plan.push(Op::Enumerate {
                     slot,
                     item: (var, ty),
@@ -725,21 +739,18 @@ pub(crate) fn plan_rule<'a>(
     cfg: &EvalConfig,
 ) -> Result<RulePlan<'a>> {
     let rule = cr.rule;
-    let syntactic = build_plan(cr)?;
-    let enum_fallbacks = syntactic
-        .iter()
-        .filter(|op| matches!(op, Op::Enumerate { .. }))
-        .count();
+    let (syntactic, enum_fallbacks) = cr.syntactic.as_ref().map_err(Clone::clone)?;
+    let enum_fallbacks = *enum_fallbacks;
     let (mut ops, reordered) = if cfg.use_planner && enum_fallbacks == 0 {
         match build_plan_costed(rule, work) {
             Some(costed) => {
-                let reordered = !same_order(&costed, &syntactic);
+                let reordered = !same_order(&costed, syntactic);
                 (costed, reordered)
             }
-            None => (syntactic, false),
+            None => (syntactic.clone(), false),
         }
     } else {
-        (syntactic, false)
+        (syntactic.clone(), false)
     };
     choose_probes(&mut ops, work);
     let sources = ops

@@ -1,6 +1,10 @@
 //! Flat Datalog: tuples of constants, atoms, rules, databases — with a
 //! small text parser.
 //!
+//! A [`Database`] stores its relations interned; [`Database::relation`]
+//! lends one out as a [`Relation`] view, whose [`TupleRef`]s resolve
+//! constants from the database's pool as they are read.
+//!
 //! Conventions of the textual syntax:
 //!
 //! * relation names start with an uppercase letter (`Edge`, `Tc`);
@@ -13,44 +17,29 @@
 //! Tc(x, z) :- Tc(x, y), Edge(y, z).
 //! ```
 
-use crate::interned::{with_id_tuple, ConstPool, IdDatabase, IdRelation};
+use crate::interned::{with_id_tuple, CId, ConstPool, IdDatabase, IdRelation};
 use crate::{DlError, Result};
 use iql_model::Constant;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 
 /// A Datalog tuple.
 pub type Tuple = Vec<Constant>;
 
-/// A read-only view of one relation of a [`Database`]: its tuples resolved
-/// to constants, in insertion order. [`Database::relation`] builds it on
-/// first read and caches it until the relation is next written; clones
-/// and forks of the database share a built view.
-#[derive(Clone)]
-pub struct Relation {
-    ids: Arc<IdRelation>,
-    /// The pool as of the view's build — every id of `ids` resolves in it.
-    pool: ConstPool,
-    tuples: Vec<Tuple>,
+/// A read-only view of one relation of a [`Database`], borrowed from it:
+/// the relation's interned tuples and the database's constant pool. It
+/// copies nothing; each constant is resolved only as a tuple is read.
+/// Tuples come in insertion order.
+#[derive(Clone, Copy)]
+pub struct Relation<'a> {
+    ids: &'a IdRelation,
+    pool: &'a ConstPool,
 }
 
-impl Relation {
-    fn build(ids: Arc<IdRelation>, pool: &ConstPool) -> Relation {
-        let tuples = ids
-            .iter()
-            .map(|t| t.iter().map(|&id| pool.resolve(id).clone()).collect())
-            .collect();
-        Relation {
-            ids,
-            pool: pool.clone(),
-            tuples,
-        }
-    }
-
+impl<'a> Relation<'a> {
     /// Membership test. A constant the database has never seen is in no
     /// tuple.
-    pub fn contains(&self, t: &Tuple) -> bool {
+    pub fn contains(&self, t: &[Constant]) -> bool {
         with_id_tuple(t.iter().map(|c| self.pool.lookup(c)), |ids| {
             self.ids.contains(ids)
         })
@@ -58,8 +47,9 @@ impl Relation {
     }
 
     /// Iterates the tuples, in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter()
+    pub fn iter(&self) -> impl Iterator<Item = TupleRef<'a>> + 'a {
+        let pool = self.pool;
+        self.ids.iter().map(move |ids| TupleRef { ids, pool })
     }
 
     /// Number of tuples.
@@ -74,17 +64,43 @@ impl Relation {
 }
 
 /// Set equality: the same tuples, whatever the insertion order or pool.
-impl PartialEq for Relation {
-    fn eq(&self, other: &Relation) -> bool {
-        same_tuples(&self.ids, &self.pool, &other.ids, &other.pool)
+impl PartialEq for Relation<'_> {
+    fn eq(&self, other: &Relation<'_>) -> bool {
+        same_tuples(self.ids, self.pool, other.ids, other.pool)
     }
 }
 
-impl Eq for Relation {}
+impl Eq for Relation<'_> {}
 
-impl fmt::Debug for Relation {
+impl fmt::Debug for Relation<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// One tuple of a [`Relation`], read in place.
+#[derive(Clone, Copy)]
+pub struct TupleRef<'a> {
+    ids: &'a [CId],
+    pool: &'a ConstPool,
+}
+
+impl<'a> TupleRef<'a> {
+    /// The constants, in column order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a Constant> + 'a {
+        let pool = self.pool;
+        self.ids.iter().map(move |&id| pool.resolve(id))
+    }
+
+    /// The constants, copied into an owned tuple.
+    pub fn to_vec(&self) -> Tuple {
+        self.iter().cloned().collect()
+    }
+}
+
+impl fmt::Debug for TupleRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -101,9 +117,10 @@ fn same_tuples(a: &IdRelation, ap: &ConstPool, b: &IdRelation, bp: &ConstPool) -
 
 /// A database: named relations of constant tuples, stored interned.
 /// Inserting interns each constant into the database's pool, so a loaded
-/// database is ready to evaluate on; relations are resolved back to
-/// constants only when read through [`Database::relation`]. Cloning shares
-/// the pool and every relation, copying each only on its first write.
+/// database is ready to evaluate on; a relation is read through a view,
+/// [`Database::relation`], that borrows it and resolves constants as they
+/// are read. Cloning shares the pool and every relation, copying each only
+/// on its first write.
 #[derive(Clone, Default)]
 pub struct Database {
     pool: ConstPool,
@@ -116,14 +133,13 @@ impl Database {
         Database::default()
     }
 
-    /// The relation named `r` (`None` if absent), as a view built on first
-    /// read.
-    pub fn relation(&self, r: &str) -> Option<&Relation> {
-        let slot = self.ids.slot(r)?;
-        let view = slot
-            .view
-            .get_or_init(|| Arc::new(Relation::build(Arc::clone(&slot.rel), &self.pool)));
-        Some(view)
+    /// The relation named `r` (`None` if absent), as a view borrowing it.
+    pub fn relation(&self, r: &str) -> Option<Relation<'_>> {
+        let ids = self.ids.relation(r)?;
+        Some(Relation {
+            ids,
+            pool: &self.pool,
+        })
     }
 
     /// Creates relation `r`, empty, if absent.
@@ -134,17 +150,12 @@ impl Database {
     /// Inserts a tuple into relation `r` (created if needed); returns
     /// whether it was new.
     pub fn insert(&mut self, r: &str, t: Tuple) -> Result<bool> {
-        if self.pool.top_is_shared() {
-            // Cached views hold a snapshot of the pool; release them so a
-            // new constant does not copy the pool for their sake.
-            self.ids.drop_views();
-        }
         self.ids.insert_constants(r, t, &mut self.pool)
     }
 
     /// All relation names present.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.ids.slots().map(|(name, _)| name)
+        self.ids.relations().map(|(name, _)| name)
     }
 
     /// Total tuple count.
@@ -176,8 +187,8 @@ impl Database {
     /// Do both databases hold relation `r` in the same shared storage?
     #[cfg(test)]
     pub(crate) fn shares_relation(&self, other: &Database, r: &str) -> bool {
-        match (self.ids.slot(r), other.ids.slot(r)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(&a.rel, &b.rel),
+        match (self.ids.shared(r), other.ids.shared(r)) {
+            (Some(a), Some(b)) => std::sync::Arc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -190,11 +201,9 @@ impl PartialEq for Database {
         self.ids.count() == other.ids.count()
             && self
                 .ids
-                .slots()
-                .zip(other.ids.slots())
-                .all(|((an, a), (bn, b))| {
-                    an == bn && same_tuples(&a.rel, &self.pool, &b.rel, &other.pool)
-                })
+                .relations()
+                .zip(other.ids.relations())
+                .all(|((an, a), (bn, b))| an == bn && same_tuples(a, &self.pool, b, &other.pool))
     }
 }
 
@@ -625,41 +634,52 @@ mod tests {
         assert_eq!(db.size(), 1);
         let r = db.relation("R").unwrap();
         assert_eq!(r.len(), 1);
-        assert!(r.contains(&vec![Constant::int(1), Constant::int(2)]));
-        assert!(!r.contains(&vec![Constant::int(2), Constant::int(1)]));
-        assert!(!r.contains(&vec![Constant::int(1), Constant::str("unseen")]));
-        assert!(!r.contains(&vec![Constant::int(1)]));
+        assert!(r.contains(&[Constant::int(1), Constant::int(2)]));
+        assert!(!r.contains(&[Constant::int(2), Constant::int(1)]));
+        assert!(!r.contains(&[Constant::int(1), Constant::str("unseen")]));
+        assert!(!r.contains(&[Constant::int(1)]));
         assert!(db.relation("Nope").is_none());
     }
 
     #[test]
     fn views_follow_writes_and_keep_insertion_order() {
+        let rows = |db: &Database| -> Vec<Tuple> {
+            db.relation("R")
+                .unwrap()
+                .iter()
+                .map(|t| t.to_vec())
+                .collect()
+        };
         let mut db = Database::new();
         db.declare("Empty");
         db.insert("R", vec![Constant::int(2), Constant::str("x")])
             .unwrap();
-        let first: Vec<Tuple> = db.relation("R").unwrap().iter().cloned().collect();
-        assert_eq!(first, vec![vec![Constant::int(2), Constant::str("x")]]);
-        // A write drops the view; the next read sees the new tuple last.
+        assert_eq!(rows(&db), vec![vec![Constant::int(2), Constant::str("x")]]);
+        // The next read sees a new tuple last.
         db.insert("R", vec![Constant::int(1), Constant::int(2)])
             .unwrap();
-        let second: Vec<Tuple> = db.relation("R").unwrap().iter().cloned().collect();
-        assert_eq!(second[1], vec![Constant::int(1), Constant::int(2)]);
+        assert_eq!(rows(&db)[1], vec![Constant::int(1), Constant::int(2)]);
         assert!(db.relation("Empty").unwrap().is_empty());
         assert_eq!(db.names().collect::<Vec<_>>(), vec!["Empty", "R"]);
-        // Cached views hold the pool; a new constant releases them rather
-        // than copying the pool.
-        assert!(db.pool.top_is_shared());
-        db.insert("Other", vec![Constant::str("fresh")]).unwrap();
-        assert!(!db.pool.top_is_shared());
-        assert_eq!(db.relation("R").unwrap().len(), 2);
-        // A clone keeps its view when the original is written.
+        // A clone's view ignores later writes to the original, new
+        // constants and new relations included.
         let snapshot = db.clone();
-        db.insert("R", vec![Constant::int(3), Constant::int(3)])
-            .unwrap();
-        assert_eq!(snapshot.relation("R").unwrap().len(), 2);
+        let before = rows(&snapshot);
+        let view = snapshot.relation("R").unwrap();
+        let fresh = [Constant::int(3), Constant::str("fresh")];
+        db.insert("R", fresh.to_vec()).unwrap();
+        db.insert("Other", vec![Constant::str("new")]).unwrap();
+        assert_eq!(view.len(), 2);
+        assert!(!view.contains(&fresh));
+        assert_eq!(rows(&snapshot), before);
+        assert!(snapshot.relation("Other").is_none());
         assert_eq!(db.relation("R").unwrap().len(), 3);
+        assert!(db.relation("R").unwrap().contains(&fresh));
         assert_ne!(snapshot, db);
+        // A tuple reads in place and prints as its list of constants.
+        let first = view.iter().next().unwrap();
+        assert_eq!(first.iter().len(), 2);
+        assert_eq!(format!("{first:?}"), format!("{:?}", before[0]));
     }
 
     #[test]

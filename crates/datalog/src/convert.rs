@@ -80,7 +80,7 @@ pub fn database_to_instance(
     for rel in rels {
         let Some(r) = db.relation(rel) else { continue };
         for tuple in r.iter() {
-            inst.insert_unchecked(RelName::new(rel), tuple_to_ovalue(tuple))
+            inst.insert_unchecked(RelName::new(rel), tuple_to_ovalue(&tuple.to_vec()))
                 .map_err(|e| DlError::Parse(e.to_string()))?;
         }
     }
@@ -162,7 +162,7 @@ mod tests {
             dl_out.relation("Tc").unwrap().len()
         );
         for t in dl_out.relation("Tc").unwrap().iter() {
-            assert!(back.relation("Tc").unwrap().contains(t));
+            assert!(back.relation("Tc").unwrap().contains(&t.to_vec()));
         }
     }
 
@@ -207,6 +207,6 @@ mod tests {
         assert!(back
             .relation("Edge")
             .unwrap()
-            .contains(&vec![Constant::str("a"), Constant::str("b")]));
+            .contains(&[Constant::str("a"), Constant::str("b")]));
     }
 }

@@ -6,8 +6,8 @@
 //! in, so a loaded database already holds ids, and evaluation starts from
 //! an O(#relations) copy-on-write fork of it: the pool is a frozen, shared
 //! root plus a per-fork top, relations sit behind `Arc`s and are copied on
-//! their first write. Constants are resolved back only for a relation a
-//! caller reads, through its cached [`Relation`] view.
+//! their first write. Constants are resolved back only as a caller reads
+//! them, through the borrowed [`crate::Relation`] view.
 //!
 //! An [`IdRelation`] stores its tuples flat (one `Vec<CId>`, stride =
 //! arity) in insertion order, which makes fixpoint iteration deterministic,
@@ -15,15 +15,19 @@
 //! indexes: each built on demand when the join planner may probe its
 //! column, shared with every fork of the relation, and maintained by every
 //! later insert — so no probe needs a per-round index rebuild once its
-//! column has been ensured. Storing a tuple allocates nothing beyond
-//! amortized vector and map growth.
+//! column has been ensured. Tuples never move, so the tuples one batch of
+//! inserts added are a position range, which is how semi-naive evaluation
+//! reads a delta; a scan covers a range, and a [`ColIndex`] can cover just
+//! one. Inserts come in batches ([`IdDatabase::insert_all`]) that unshare
+//! the relation once, at the first new tuple; storing a tuple allocates
+//! nothing beyond amortized vector and map growth.
 
-use crate::ast::Relation;
 use crate::{DlError, Result};
 use iql_model::Constant;
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// An interned constant: an index into a [`ConstPool`].
@@ -175,12 +179,6 @@ impl ConstPool {
         self.top.end() as usize
     }
 
-    /// Is the top layer shared with another pool (a clone, or a cached
-    /// view's snapshot), so that growing it would copy it?
-    pub(crate) fn top_is_shared(&self) -> bool {
-        Arc::strong_count(&self.top) > 1
-    }
-
     /// A pool holding exactly this pool's constants, under the same ids,
     /// that interns new ones into a fresh top of its own. O(1) when at most
     /// one layer is populated; otherwise the two layers are flattened into
@@ -235,12 +233,27 @@ struct Members {
     chains: HashChains,
 }
 
-/// An incremental index on one column: each value maps to the `(first,
-/// last)` positions holding it, and `next` chains every position to the
-/// next one with the same value, so postings walk in ascending position
-/// order and adding a position allocates nothing per key.
+/// Is `t`, whose membership hash is `h`, among the tuples of `data` (of
+/// `arity` ids each) that `chains` holds?
+fn holds(data: &[CId], arity: usize, chains: &HashChains, t: &[CId], h: u64) -> bool {
+    chains
+        .find(h, |pos| {
+            let start = pos as usize * arity;
+            data[start..start + arity] == *t
+        })
+        .is_some()
+}
+
+/// An index on one column over the positions `base..base + n` of a
+/// relation: each value maps to the `(first, last)` positions holding it,
+/// and `next` chains every position to the next one with the same value,
+/// so postings walk in ascending position order and adding a position
+/// allocates nothing per key. Positions are absolute: a relation's own
+/// incremental index starts at 0, and a semi-naive delta's one-off index
+/// at the delta's first position.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ColIndex {
+    base: u32,
     ends: HashMap<CId, (u32, u32)>,
     next: Vec<u32>,
 }
@@ -248,12 +261,15 @@ pub(crate) struct ColIndex {
 impl ColIndex {
     /// Records the next position, whose column value is `key`.
     fn push(&mut self, key: CId) {
-        let pos = u32::try_from(self.next.len()).expect("relation overflow");
+        let pos = u32::try_from(self.next.len())
+            .ok()
+            .and_then(|n| self.base.checked_add(n))
+            .expect("relation overflow");
         self.next.push(NONE);
         match self.ends.entry(key) {
             Entry::Occupied(mut e) => {
                 let last = &mut e.get_mut().1;
-                self.next[*last as usize] = pos;
+                self.next[(*last - self.base) as usize] = pos;
                 *last = pos;
             }
             Entry::Vacant(e) => {
@@ -269,12 +285,13 @@ impl ColIndex {
 
     /// The position after `pos` with the same column value.
     fn next(&self, pos: u32) -> Option<u32> {
-        let next = self.next[pos as usize];
+        let next = self.next[(pos - self.base) as usize];
         (next != NONE).then_some(next)
     }
 
-    /// Number of distinct values in the column.
-    fn distinct(&self) -> usize {
+    /// Number of distinct values in the column — the cardinality
+    /// statistic the join planner ranks probe columns by.
+    pub(crate) fn distinct(&self) -> usize {
         self.ends.len()
     }
 }
@@ -285,6 +302,10 @@ impl ColIndex {
 /// their own `Arc`, so clones share them and copy each only on its first
 /// write. An index is built through a shared reference, so building one on
 /// a shared relation copies nothing, and every sharer gets it.
+///
+/// Tuples are never moved or removed, so the tuples a batch of inserts
+/// added are exactly the positions from the relation's length before the
+/// batch to its length after: a semi-naive delta is such a range.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IdRelation {
     /// Arity; fixed by the first insert.
@@ -301,6 +322,37 @@ pub(crate) struct IdRelation {
     /// Loading builds none: a loaded database gets each index once, from
     /// the first evaluation that probes it, and keeps it for later ones.
     indexes: Vec<OnceLock<Arc<ColIndex>>>,
+}
+
+/// The writable parts of an unshared [`IdRelation`], taken once per batch
+/// of inserts, so that storing a tuple pays no copy-on-write check.
+struct Writer<'a> {
+    arity: usize,
+    data: &'a mut Vec<CId>,
+    members: &'a mut Members,
+    /// The built indexes, each with its column.
+    indexes: Vec<(usize, &'a mut ColIndex)>,
+}
+
+impl Writer<'_> {
+    /// Appends `t`, known to be absent, under membership hash `h`.
+    fn push(&mut self, t: &[CId], h: u64) {
+        self.data.extend_from_slice(t);
+        self.members.chains.push(h);
+        for (col, idx) in &mut self.indexes {
+            idx.push(t[*col]);
+        }
+    }
+
+    /// Appends `t` unless it is stored already; returns whether it was new.
+    fn insert(&mut self, t: &[CId]) -> bool {
+        let h = self.members.hasher.hash_one(t);
+        if holds(self.data, self.arity, &self.members.chains, t, h) {
+            return false;
+        }
+        self.push(t, h);
+        true
+    }
 }
 
 impl IdRelation {
@@ -323,10 +375,13 @@ impl IdRelation {
 
     /// Is `t`, whose membership hash is `h`, stored?
     fn contains_hashed(&self, t: &[CId], h: u64) -> bool {
-        self.members
-            .chains
-            .find(h, |pos| self.tuple_at(pos) == t)
-            .is_some()
+        holds(
+            &self.data,
+            self.arity.unwrap_or(0),
+            &self.members.chains,
+            t,
+            h,
+        )
     }
 
     /// Membership test.
@@ -334,19 +389,24 @@ impl IdRelation {
         self.arity == Some(t.len()) && self.contains_hashed(t, self.hash(t))
     }
 
-    /// Appends `t`, known to be absent and of the right arity, under
-    /// membership hash `h`.
-    fn push(&mut self, t: &[CId], h: u64) {
+    /// Unshares the tuple data, the membership map and every built index
+    /// for a batch of inserts of `arity` columns (already checked against
+    /// the relation's); the first write fixes the arity.
+    fn writer(&mut self, arity: usize) -> Writer<'_> {
         if self.arity.is_none() {
-            self.arity = Some(t.len());
-            self.indexes = t.iter().map(|_| OnceLock::new()).collect();
+            self.arity = Some(arity);
+            self.indexes = (0..arity).map(|_| OnceLock::new()).collect();
         }
-        Arc::make_mut(&mut self.data).extend_from_slice(t);
-        Arc::make_mut(&mut self.members).chains.push(h);
-        for (idx, &c) in self.indexes.iter_mut().zip(t) {
-            if let Some(idx) = idx.get_mut() {
-                Arc::make_mut(idx).push(c);
-            }
+        Writer {
+            arity,
+            data: Arc::make_mut(&mut self.data),
+            members: Arc::make_mut(&mut self.members),
+            indexes: self
+                .indexes
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(col, slot)| slot.get_mut().map(|idx| (col, Arc::make_mut(idx))))
+                .collect(),
         }
     }
 
@@ -358,7 +418,7 @@ impl IdRelation {
         if self.contains_hashed(t, h) {
             return Ok(false);
         }
-        self.push(t, h);
+        self.writer(t.len()).push(t, h);
         Ok(true)
     }
 
@@ -373,21 +433,28 @@ impl IdRelation {
         (0..self.len()).map(|pos| self.tuple_at(pos as u32))
     }
 
-    /// The positions a scan visits, ascending: with `Some((index, key))`,
-    /// those whose indexed column holds `key` (`index` must be one of this
-    /// relation's); with `None`, every position.
+    /// Every position, `0..len()`.
+    pub(crate) fn all(&self) -> Range<u32> {
+        0..u32::try_from(self.len()).expect("relation overflow")
+    }
+
+    /// The positions a scan of `range` visits, ascending: with
+    /// `Some((index, key))`, those whose indexed column holds `key`
+    /// (`index` must be one of this relation's over exactly `range`); with
+    /// `None`, every position in `range`.
     pub(crate) fn positions<'a>(
-        &'a self,
+        &self,
+        range: Range<u32>,
         probe: Option<(&'a ColIndex, CId)>,
     ) -> impl Iterator<Item = u32> + 'a {
-        let len = u32::try_from(self.len()).expect("relation overflow");
+        debug_assert!(range.end as usize <= self.len());
         let first = match probe {
             Some((idx, key)) => idx.first(key),
-            None => (len > 0).then_some(0),
+            None => (range.start < range.end).then_some(range.start),
         };
         std::iter::successors(first, move |&pos| match probe {
             Some((idx, _)) => idx.next(pos),
-            None => (pos + 1 < len).then_some(pos + 1),
+            None => (pos + 1 < range.end).then_some(pos + 1),
         })
     }
 
@@ -419,55 +486,51 @@ impl IdRelation {
         self.indexes.get(col)?.get().map(Arc::as_ref)
     }
 
-    /// Number of distinct values in `col`, known iff its index is built —
-    /// the cardinality statistic the join planner ranks probe columns by.
-    pub(crate) fn distinct(&self, col: usize) -> Option<usize> {
-        self.index(col).map(ColIndex::distinct)
+    /// A one-off index on `col` over the positions in `range` — how a
+    /// semi-naive round indexes the previous round's delta.
+    pub(crate) fn index_over(&self, col: usize, range: Range<u32>) -> ColIndex {
+        let mut idx = ColIndex {
+            base: range.start,
+            ..ColIndex::default()
+        };
+        for pos in range {
+            idx.push(self.tuple_at(pos)[col]);
+        }
+        idx
     }
 
     /// Builds the index on `col` if absent; later inserts maintain it.
     /// Columns beyond the arity have no index to build.
     fn ensure_index(&self, col: usize) {
         if let Some(slot) = self.indexes.get(col) {
-            slot.get_or_init(|| {
-                let mut idx = ColIndex::default();
-                for t in self.iter() {
-                    idx.push(t[col]);
-                }
-                Arc::new(idx)
-            });
+            slot.get_or_init(|| Arc::new(self.index_over(col, self.all())));
         }
     }
 }
 
-/// One named relation of an [`IdDatabase`]: the shared interned relation,
-/// plus the constant-resolved view of it, built on first read by
-/// [`crate::Database::relation`] and dropped by the next write.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Slot {
-    pub(crate) rel: Arc<IdRelation>,
-    pub(crate) view: OnceLock<Arc<Relation>>,
-}
-
-impl Slot {
-    /// Inserts a tuple; returns whether it was new. Only a new tuple
-    /// unshares the relation and drops its view.
-    fn insert(&mut self, t: &[CId]) -> Result<bool> {
-        self.rel.check_arity(t.len())?;
-        let h = self.rel.hash(t);
-        if self.rel.contains_hashed(t, h) {
-            return Ok(false);
-        }
-        self.view.take();
-        Arc::make_mut(&mut self.rel).push(t, h);
-        Ok(true)
-    }
+/// Appends to `rel` each of the `count` tuples of `arity` ids (the
+/// relation's arity) that `ids` holds back to back and `rel` does not hold
+/// yet, in order; returns how many were new. `rel` is unshared — its data,
+/// membership and built indexes copied if a clone shares them — only once
+/// a first new tuple turns up.
+fn insert_new(rel: &mut Arc<IdRelation>, arity: usize, ids: &[CId], count: usize) -> usize {
+    let mut tuples = (0..count).map(|i| &ids[i * arity..(i + 1) * arity]);
+    let Some((first, h)) = tuples
+        .by_ref()
+        .map(|t| (t, rel.hash(t)))
+        .find(|&(t, h)| !rel.contains_hashed(t, h))
+    else {
+        return 0;
+    };
+    let mut w = Arc::make_mut(rel).writer(arity);
+    w.push(first, h);
+    1 + tuples.filter(|t| w.insert(t)).count()
 }
 
 /// A database over interned relations. Cloning shares every relation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IdDatabase {
-    relations: BTreeMap<String, Slot>,
+    relations: BTreeMap<String, Arc<IdRelation>>,
 }
 
 /// Names the relation in an arity error raised by an [`IdRelation`].
@@ -492,17 +555,18 @@ impl IdDatabase {
 
     /// The relation named `r`, if present.
     pub(crate) fn relation(&self, r: &str) -> Option<&IdRelation> {
-        self.relations.get(r).map(|s| s.rel.as_ref())
+        self.relations.get(r).map(Arc::as_ref)
     }
 
-    /// The slot of relation `r`, if present.
-    pub(crate) fn slot(&self, r: &str) -> Option<&Slot> {
+    /// The shared storage of relation `r`, if present.
+    #[cfg(test)]
+    pub(crate) fn shared(&self, r: &str) -> Option<&Arc<IdRelation>> {
         self.relations.get(r)
     }
 
     /// The relations with their names, in name order.
-    pub(crate) fn slots(&self) -> impl Iterator<Item = (&str, &Slot)> {
-        self.relations.iter().map(|(n, s)| (n.as_str(), s))
+    pub(crate) fn relations(&self) -> impl Iterator<Item = (&str, &IdRelation)> {
+        self.relations.iter().map(|(n, r)| (n.as_str(), r.as_ref()))
     }
 
     /// Number of relations.
@@ -512,22 +576,15 @@ impl IdDatabase {
 
     /// Creates relation `r`, empty, if absent.
     pub(crate) fn declare(&mut self, r: &str) {
-        self.slot_mut(r);
+        self.relation_mut(r);
     }
 
-    /// The slot of relation `r`, created empty if absent.
-    fn slot_mut(&mut self, r: &str) -> &mut Slot {
+    /// Relation `r`, created empty if absent.
+    fn relation_mut(&mut self, r: &str) -> &mut Arc<IdRelation> {
         if !self.relations.contains_key(r) {
-            self.relations.insert(r.to_string(), Slot::default());
+            self.relations.insert(r.to_string(), Arc::default());
         }
         self.relations.get_mut(r).expect("declared above")
-    }
-
-    /// Drops every cached view, releasing the pool snapshots they hold.
-    pub(crate) fn drop_views(&mut self) {
-        for slot in self.relations.values_mut() {
-            slot.view.take();
-        }
     }
 
     /// Ensures the incremental index on `col` of relation `r` is built.
@@ -539,10 +596,31 @@ impl IdDatabase {
         }
     }
 
+    /// Inserts into relation `r` the `count` tuples of `arity` ids that
+    /// `ids` holds back to back, in order, skipping those already stored;
+    /// returns how many were new. The relation is looked up once, created
+    /// only when `count > 0`, and unshared only by its first new tuple, so a
+    /// relation that gains nothing stays shared with every clone.
+    pub(crate) fn insert_all(
+        &mut self,
+        r: &str,
+        arity: usize,
+        ids: &[CId],
+        count: usize,
+    ) -> Result<usize> {
+        if count == 0 {
+            return Ok(0);
+        }
+        let rel = self.relation_mut(r);
+        rel.check_arity(arity).map_err(name_arity_error(r))?;
+        Ok(insert_new(rel, arity, ids, count))
+    }
+
     /// Inserts a tuple into relation `r` (created if needed); returns
     /// whether it was new.
+    #[cfg(test)]
     pub(crate) fn insert(&mut self, r: &str, t: &[CId]) -> Result<bool> {
-        self.slot_mut(r).insert(t).map_err(name_arity_error(r))
+        Ok(self.insert_all(r, t.len(), t, 1)? == 1)
     }
 
     /// Interns the constants of `t` into `pool` and inserts the result into
@@ -554,18 +632,19 @@ impl IdDatabase {
         t: Vec<Constant>,
         pool: &mut ConstPool,
     ) -> Result<bool> {
-        let slot = self.slot_mut(r);
-        slot.rel.check_arity(t.len()).map_err(name_arity_error(r))?;
-        with_id_tuple(t.into_iter().map(|c| Some(pool.intern(c))), |t| {
-            slot.insert(t)
-        })
-        .expect("every constant interns")
-        .map_err(name_arity_error(r))
+        let rel = self.relation_mut(r);
+        rel.check_arity(t.len()).map_err(name_arity_error(r))?;
+        Ok(
+            with_id_tuple(t.into_iter().map(|c| Some(pool.intern(c))), |t| {
+                insert_new(rel, t.len(), t, 1) == 1
+            })
+            .expect("every constant interns"),
+        )
     }
 
     /// Total tuple count.
     pub(crate) fn size(&self) -> usize {
-        self.relations.values().map(|s| s.rel.len()).sum()
+        self.relations.values().map(|r| r.len()).sum()
     }
 
     /// The named relations, sharing their storage with this database:
@@ -577,13 +656,7 @@ impl IdDatabase {
         let relations = names
             .into_iter()
             .filter_map(|name| self.relations.get_key_value(name))
-            .map(|(name, slot)| {
-                let shared = Slot {
-                    rel: Arc::clone(&slot.rel),
-                    view: OnceLock::new(),
-                };
-                (name.clone(), shared)
-            })
+            .map(|(name, rel)| (name.clone(), Arc::clone(rel)))
             .collect();
         IdDatabase { relations }
     }
@@ -597,9 +670,13 @@ mod tests {
         pool.intern(Constant::int(n))
     }
 
+    fn distinct(rel: &IdRelation, col: usize) -> Option<usize> {
+        rel.index(col).map(ColIndex::distinct)
+    }
+
     fn postings(rel: &IdRelation, col: usize, key: CId) -> Vec<u32> {
         let idx = rel.index(col).expect("index built");
-        rel.positions(Some((idx, key))).collect()
+        rel.positions(rel.all(), Some((idx, key))).collect()
     }
 
     #[test]
@@ -655,17 +732,20 @@ mod tests {
         rel.ensure_index(0);
         assert_eq!(postings(&rel, 0, a), vec![0, 1]);
         assert_eq!(postings(&rel, 0, b), vec![2]);
-        assert_eq!(rel.positions(None).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(
+            rel.positions(rel.all(), None).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
         // A later column's index, built over the stored tuples, agrees
         // with a scan; ensured indexes are maintained by later inserts and
         // expose the column's distinct count.
         assert!(rel.index(1).is_none());
         rel.ensure_index(1);
         assert_eq!(postings(&rel, 1, c), vec![1, 2]);
-        assert_eq!(rel.distinct(1), Some(2)); // {b, c}
+        assert_eq!(rel.index(1).map(ColIndex::distinct), Some(2)); // {b, c}
         assert!(rel.insert(&[c, a]).unwrap());
         assert_eq!(postings(&rel, 1, a), vec![3]);
-        assert_eq!(rel.distinct(1), Some(3));
+        assert_eq!(rel.index(1).map(ColIndex::distinct), Some(3));
         assert_eq!(postings(&rel, 0, c), vec![3]);
         // Columns beyond the arity have no index.
         rel.ensure_index(2);
@@ -750,7 +830,7 @@ mod tests {
         db.insert("Edge", &[a, b]).unwrap();
         let mut fork = db.clone();
         let shared = |x: &IdDatabase, y: &IdDatabase| {
-            Arc::ptr_eq(&x.slot("Edge").unwrap().rel, &y.slot("Edge").unwrap().rel)
+            Arc::ptr_eq(x.shared("Edge").unwrap(), y.shared("Edge").unwrap())
         };
         // A duplicate leaves the relation shared, and so does an index
         // build, which both sides then see.
@@ -789,12 +869,12 @@ mod tests {
         assert_eq!(neg.len(), 1);
         // The view shares the relation's storage instead of copying it.
         assert!(Arc::ptr_eq(
-            &view.slot("Neg").unwrap().rel,
-            &db.slot("Neg").unwrap().rel
+            view.shared("Neg").unwrap(),
+            db.shared("Neg").unwrap()
         ));
         // Un-negated and missing relations are simply absent.
         assert_eq!(
-            view.slots().map(|(n, _)| n).collect::<Vec<_>>(),
+            view.relations().map(|(n, _)| n).collect::<Vec<_>>(),
             vec!["Neg"]
         );
         assert!(view.relation("Other").is_none());
@@ -814,14 +894,78 @@ mod tests {
         assert_eq!(edge.len(), 2);
         assert!(db.relation("Nope").is_none());
         // Columns are indexed on demand only.
-        assert_eq!(edge.distinct(0), None);
+        assert_eq!(distinct(edge, 0), None);
         db.ensure_index("Edge", 0);
-        assert_eq!(edge.distinct(0), Some(1));
-        assert_eq!(edge.distinct(1), None);
+        assert_eq!(distinct(edge, 0), Some(1));
+        assert_eq!(distinct(edge, 1), None);
         db.ensure_index("Edge", 1);
-        assert_eq!(edge.distinct(1), Some(2));
+        assert_eq!(distinct(edge, 1), Some(2));
         // The shared probe policy picks the more selective column.
-        let cands = [0, 1].map(|col| (col, edge.distinct(col)));
+        let cands = [0, 1].map(|col| (col, distinct(edge, col)));
         assert_eq!(iql_exec::choose_probe(cands), Some(1));
+    }
+
+    #[test]
+    fn a_batch_unshares_only_for_a_new_tuple() {
+        let mut pool = ConstPool::default();
+        let (a, b, c) = (cid(&mut pool, 1), cid(&mut pool, 2), cid(&mut pool, 3));
+        let mut db = IdDatabase::new();
+        db.insert("Edge", &[a, b]).unwrap();
+        db.ensure_index("Edge", 0);
+        let mut fork = db.clone();
+        let shared =
+            |x: &IdDatabase| Arc::ptr_eq(x.shared("Edge").unwrap(), db.shared("Edge").unwrap());
+        // An empty batch creates nothing; a batch of duplicates writes
+        // nothing and leaves the relation shared.
+        assert_eq!(fork.insert_all("New", 2, &[], 0).unwrap(), 0);
+        assert!(fork.relation("New").is_none());
+        assert_eq!(fork.insert_all("Edge", 2, &[a, b, a, b], 2).unwrap(), 0);
+        assert!(shared(&fork));
+        // A mixed batch appends its new tuples in order, once each, and
+        // maintains the built index; the clone it was shared with is
+        // untouched.
+        let batch = [a, b, b, c, a, b, b, c, c, a];
+        assert_eq!(fork.insert_all("Edge", 2, &batch, 5).unwrap(), 2);
+        assert!(!shared(&fork));
+        let edge = fork.relation("Edge").unwrap();
+        let scan: Vec<&[CId]> = edge.iter().collect();
+        assert_eq!(scan, vec![&[a, b][..], &[b, c], &[c, a]]);
+        assert_eq!(postings(edge, 0, c), vec![2]);
+        assert_eq!(db.size(), 1);
+        // A batch of the wrong arity fails, naming the relation.
+        assert!(matches!(
+            fork.insert_all("Edge", 1, &[a], 1),
+            Err(DlError::Arity { rel, expected: 2, found: 1 }) if rel == "Edge"
+        ));
+        // Nullary tuples: a batch of several holds one.
+        assert_eq!(fork.insert_all("Done", 0, &[], 3).unwrap(), 1);
+        assert_eq!(fork.relation("Done").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_range_scans_and_indexes_only_its_positions() {
+        let mut pool = ConstPool::default();
+        let ids: Vec<CId> = (0..3).map(|n| cid(&mut pool, n)).collect();
+        let mut rel = IdRelation::default();
+        for (x, y) in [(0, 1), (1, 2), (0, 2), (2, 0), (0, 0), (1, 1)] {
+            rel.insert(&[ids[x], ids[y]]).unwrap();
+        }
+        let range = 2..5;
+        assert_eq!(
+            rel.positions(range.clone(), None).collect::<Vec<_>>(),
+            vec![2, 3, 4]
+        );
+        assert_eq!(rel.positions(3..3, None).count(), 0);
+        // A one-off index over the range holds absolute positions, and
+        // counts only the range's distinct values.
+        let idx = rel.index_over(0, range.clone());
+        assert_eq!(idx.distinct(), 2); // {0, 2}
+        let probe = |key| {
+            rel.positions(range.clone(), Some((&idx, key)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(probe(ids[0]), vec![2, 4]);
+        assert_eq!(probe(ids[2]), vec![3]);
+        assert!(probe(ids[1]).is_empty(), "positions 1 and 5 are outside");
     }
 }

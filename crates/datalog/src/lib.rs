@@ -8,8 +8,8 @@
 //!
 //! * [`ast`] — flat rules over constant tuples, with a small text parser,
 //!   and the [`Database`] they run on. A database stores only interned
-//!   constant ids: it is loaded once, and each relation is resolved back
-//!   to constant tuples only when read through [`Database::relation`];
+//!   constant ids: it is loaded once, and a relation is read in place
+//!   through the borrowed view [`Database::relation`] returns;
 //! * [`engine`] — one [`eval`]`(prog, edb, `[`Strategy`]`)` entry point
 //!   over **naive** and **semi-naive** bottom-up evaluation with
 //!   hash-indexed joins, plus **inflationary** Datalog¬ (the fixpoint
@@ -30,7 +30,7 @@ pub mod engine;
 mod interned;
 pub mod stratify;
 
-pub use ast::{parse_program, Atom, Database, DlTerm, Lit, Program, Relation, Rule};
+pub use ast::{parse_program, Atom, Database, DlTerm, Lit, Program, Relation, Rule, TupleRef};
 pub use engine::{eval, eval_governed, eval_with, EvalStats, Strategy, DEFAULT_MAX_ROUNDS};
 pub use iql_core::govern::{AbortReason, Governor};
 pub use stratify::stratify;

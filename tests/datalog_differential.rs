@@ -3,9 +3,13 @@
 //! Seeded: the `iql_testkit` generator builds random and layered digraphs,
 //! and every closure and complement the engine derives must equal the one
 //! graph search computes. Transitive closure runs under `Naive` and
-//! `SemiNaive`, unreachability under `Stratified`, each at 1 and 4 worker
-//! threads. Each loaded database is reused for many evaluations, so the
-//! test also checks that no evaluation leaks into its input.
+//! `SemiNaive` in four shapes — left-linear, right-linear, doubly recursive
+//! (two recursive atoms, so a semi-naive round has two delta positions in
+//! one rule) and in place (the head is the stored input relation itself) —
+//! with a nullary head beside them; unreachability runs under `Stratified`;
+//! each at 1 and 4 worker threads. Each loaded database is reused for many
+//! evaluations, so the test also checks that no evaluation leaks into its
+//! input.
 
 use iql::datalog::{eval_with, parse_program, Database, Strategy};
 use iql::model::Constant;
@@ -69,7 +73,7 @@ fn reachable(graph: &Graph, s: usize) -> BTreeSet<usize> {
 /// The rows of relation `rel` in `db`, as sorted tuples.
 fn rows(db: &Database, rel: &str) -> BTreeSet<Vec<Constant>> {
     db.relation(rel)
-        .map(|r| r.iter().cloned().collect())
+        .map(|r| r.iter().map(|t| t.to_vec()).collect())
         .unwrap_or_default()
 }
 
@@ -87,22 +91,52 @@ fn graphs() -> Vec<Graph> {
 
 #[test]
 fn transitive_closure_matches_graph_search() {
-    let tc = parse_program("Tc(x, y) :- Edge(x, y). Tc(x, z) :- Tc(x, y), Edge(y, z).").unwrap();
+    // (shape, program, the relation that ends up holding the closure)
+    let shapes = [
+        (
+            "left-linear",
+            "Tc(x, y) :- Edge(x, y). Tc(x, z) :- Tc(x, y), Edge(y, z). Cyclic() :- Tc(x, x).",
+            "Tc",
+        ),
+        (
+            "right-linear",
+            "Tc(x, y) :- Edge(x, y). Tc(x, z) :- Edge(x, y), Tc(y, z). Cyclic() :- Tc(x, x).",
+            "Tc",
+        ),
+        (
+            "doubly recursive",
+            "Tc(x, y) :- Edge(x, y). Tc(x, z) :- Tc(x, y), Tc(y, z). Cyclic() :- Tc(x, x).",
+            "Tc",
+        ),
+        (
+            "in place",
+            "Edge(x, z) :- Edge(x, y), Edge(y, z). Cyclic() :- Edge(x, x).",
+            "Edge",
+        ),
+    ];
     for (gi, graph) in graphs().iter().enumerate() {
         let db = load(graph);
         let want: BTreeSet<Vec<Constant>> = (0..graph.len())
             .flat_map(|u| reachable(graph, u).into_iter().map(move |v| (u, v)))
             .map(|(u, v)| vec![name(u), name(v)])
             .collect();
-        for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            for threads in [1, 4] {
-                let (out, stats) = eval_with(&tc, &db, strategy, threads).unwrap();
-                assert!(stats.trip.is_none());
-                assert_eq!(
-                    rows(&out, "Tc"),
-                    want,
-                    "graph {gi}, {strategy}, {threads} threads"
-                );
+        // The nullary `Cyclic` holds its one empty tuple iff some node
+        // reaches itself.
+        let cyclic: BTreeSet<Vec<Constant>> = (0..graph.len())
+            .any(|u| reachable(graph, u).contains(&u))
+            .then(Vec::new)
+            .into_iter()
+            .collect();
+        for (shape, text, rel) in shapes {
+            let prog = parse_program(text).unwrap();
+            for strategy in [Strategy::Naive, Strategy::SemiNaive] {
+                for threads in [1, 4] {
+                    let (out, stats) = eval_with(&prog, &db, strategy, threads).unwrap();
+                    assert!(stats.trip.is_none());
+                    let case = format!("graph {gi}, {shape}, {strategy}, {threads} threads");
+                    assert_eq!(rows(&out, rel), want, "{case}");
+                    assert_eq!(rows(&out, "Cyclic"), cyclic, "{case}");
+                }
             }
         }
         assert_eq!(db, load(graph), "graph {gi}: the input is unchanged");
