@@ -1208,6 +1208,30 @@ fn e19_value_representation() {
             ],
         });
     }
+    // Rung 4: the Datalog load path (the `dl_*` setup) — n distinct
+    // two-column tuples over about 2·√n string constants, each inserted
+    // through `Database::insert`, which interns its constants.
+    let mut load = Vec::new();
+    for n in [10_000usize, 100_000] {
+        let side = (n as f64).sqrt().ceil() as usize;
+        let names: Vec<String> = (0..side).map(|k| format!("node{k}")).collect();
+        let (size, t_load) = best_of(RUNS, || {
+            let mut db = iql_datalog::Database::new();
+            for i in 0..n {
+                let t = vec![
+                    iql_model::Constant::str(&names[i % side]),
+                    iql_model::Constant::str(&names[i / side]),
+                ];
+                db.insert("Edge", t).expect("one arity");
+            }
+            db.size()
+        });
+        assert_eq!(size, n, "every loaded tuple is distinct");
+        load.push(Row {
+            n,
+            cells: vec![("dl-load".into(), t_load.as_secs_f64(), Some(size))],
+        });
+    }
     print_table(
         "build+dedup and sort of n flat tuples (best of 5); counts = distinct values",
         &ladder,
@@ -1215,6 +1239,10 @@ fn e19_value_representation() {
     print_table(
         "n deep values: intern into a fresh arena, all-pairs equality over 256, n join probes (best of 5); counts = arena nodes / equal pairs / hits",
         &arena,
+    );
+    print_table(
+        "load n two-column string tuples into a Datalog database (best of 5); counts = Database::size()",
+        &load,
     );
     println!("shape check: identical dedup, equality and probe results in every representation;");
     println!("  id equality and id join probes beat their tree counterparts by a wide margin");

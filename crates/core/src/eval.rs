@@ -1151,7 +1151,10 @@ fn one_step(
         f.head = Some(v);
     }
 
-    // (c) Write the facts and collect the weak assignments.
+    // (c) Write the facts, and collect the set members per oid (so a set
+    // gains all of this step's members as one new set node) and the weak
+    // assignments.
+    let mut members: BTreeMap<Oid, Vec<ValueId>> = BTreeMap::new();
     let mut assignments: BTreeMap<Oid, BTreeSet<ValueId>> = BTreeMap::new();
     for f in &fires {
         let cr = &stage.rules[f.ri];
@@ -1171,10 +1174,8 @@ fn one_step(
             SHead::SetMember(x, _) => {
                 regs.load_fire(cr, row(f), invented_of(f, cr));
                 let oid = binding_oid_id(cr, &regs.vals, *x, work.store())?;
-                if work.add_set_member_id(oid, f.head.expect("head evaluated"))? {
-                    report.facts_added += 1;
-                    changed = true;
-                }
+                let v = f.head.expect("head evaluated");
+                members.entry(oid).or_default().push(v);
             }
             SHead::Assign(x, _) => {
                 regs.load_fire(cr, row(f), invented_of(f, cr));
@@ -1186,6 +1187,12 @@ fn one_step(
                 // Applied in phase 4.
             }
         }
+    }
+
+    for (oid, ids) in members {
+        let added = work.add_set_members_id(oid, &ids)?;
+        report.facts_added += added;
+        changed |= added > 0;
     }
 
     // Phase 3: weak assignments per condition (†): a value is set only if

@@ -3,7 +3,7 @@
 //!
 //! A [`Database`] stores its relations interned; [`Database::relation`]
 //! lends one out as a [`Relation`] view, whose [`TupleRef`]s resolve
-//! constants from the database's pool as they are read.
+//! constants from the database's value store as they are read.
 //!
 //! Conventions of the textual syntax:
 //!
@@ -17,9 +17,9 @@
 //! Tc(x, z) :- Tc(x, y), Edge(y, z).
 //! ```
 
-use crate::interned::{with_id_tuple, CId, ConstPool, IdDatabase, IdRelation};
+use crate::interned::{constant, lookup_constant, with_id_tuple, IdDatabase, IdRelation};
 use crate::{DlError, Result};
-use iql_model::Constant;
+use iql_model::{Constant, ValueId, ValueStore};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -27,20 +27,20 @@ use std::fmt;
 pub type Tuple = Vec<Constant>;
 
 /// A read-only view of one relation of a [`Database`], borrowed from it:
-/// the relation's interned tuples and the database's constant pool. It
+/// the relation's interned tuples and the database's value store. It
 /// copies nothing; each constant is resolved only as a tuple is read.
 /// Tuples come in insertion order.
 #[derive(Clone, Copy)]
 pub struct Relation<'a> {
     ids: &'a IdRelation,
-    pool: &'a ConstPool,
+    store: &'a ValueStore,
 }
 
 impl<'a> Relation<'a> {
     /// Membership test. A constant the database has never seen is in no
     /// tuple.
     pub fn contains(&self, t: &[Constant]) -> bool {
-        with_id_tuple(t.iter().map(|c| self.pool.lookup(c)), |ids| {
+        with_id_tuple(t.iter().map(|c| lookup_constant(self.store, c)), |ids| {
             self.ids.contains(ids)
         })
         .unwrap_or(false)
@@ -48,8 +48,8 @@ impl<'a> Relation<'a> {
 
     /// Iterates the tuples, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = TupleRef<'a>> + 'a {
-        let pool = self.pool;
-        self.ids.iter().map(move |ids| TupleRef { ids, pool })
+        let store = self.store;
+        self.ids.iter().map(move |ids| TupleRef { ids, store })
     }
 
     /// Number of tuples.
@@ -63,10 +63,10 @@ impl<'a> Relation<'a> {
     }
 }
 
-/// Set equality: the same tuples, whatever the insertion order or pool.
+/// Set equality: the same tuples, whatever the insertion order or store.
 impl PartialEq for Relation<'_> {
     fn eq(&self, other: &Relation<'_>) -> bool {
-        same_tuples(self.ids, self.pool, other.ids, other.pool)
+        same_tuples(self.ids, self.store, other.ids, other.store)
     }
 }
 
@@ -81,15 +81,15 @@ impl fmt::Debug for Relation<'_> {
 /// One tuple of a [`Relation`], read in place.
 #[derive(Clone, Copy)]
 pub struct TupleRef<'a> {
-    ids: &'a [CId],
-    pool: &'a ConstPool,
+    ids: &'a [ValueId],
+    store: &'a ValueStore,
 }
 
 impl<'a> TupleRef<'a> {
     /// The constants, in column order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a Constant> + 'a {
-        let pool = self.pool;
-        self.ids.iter().map(move |&id| pool.resolve(id))
+        let store = self.store;
+        self.ids.iter().map(move |&id| constant(store, id))
     }
 
     /// The constants, copied into an owned tuple.
@@ -104,26 +104,26 @@ impl fmt::Debug for TupleRef<'_> {
     }
 }
 
-/// Do `a` (over pool `ap`) and `b` (over pool `bp`) hold the same tuples?
-fn same_tuples(a: &IdRelation, ap: &ConstPool, b: &IdRelation, bp: &ConstPool) -> bool {
+/// Do `a` (over store `sa`) and `b` (over store `sb`) hold the same
+/// tuples?
+fn same_tuples(a: &IdRelation, sa: &ValueStore, b: &IdRelation, sb: &ValueStore) -> bool {
     a.len() == b.len()
         && a.iter().all(|t| {
-            with_id_tuple(t.iter().map(|&id| bp.lookup(ap.resolve(id))), |ids| {
-                b.contains(ids)
-            })
-            .unwrap_or(false)
+            let ids = t.iter().map(|&id| lookup_constant(sb, constant(sa, id)));
+            with_id_tuple(ids, |ids| b.contains(ids)).unwrap_or(false)
         })
 }
 
 /// A database: named relations of constant tuples, stored interned.
-/// Inserting interns each constant into the database's pool, so a loaded
+/// Inserting interns each constant into the database's value store (the
+/// interner IQL instances use too), so a loaded
 /// database is ready to evaluate on; a relation is read through a view,
 /// [`Database::relation`], that borrows it and resolves constants as they
-/// are read. Cloning shares the pool and every relation, copying each only
+/// are read. Cloning shares the store and every relation, copying each only
 /// on its first write.
 #[derive(Clone, Default)]
 pub struct Database {
-    pool: ConstPool,
+    store: ValueStore,
     ids: IdDatabase,
 }
 
@@ -138,7 +138,7 @@ impl Database {
         let ids = self.ids.relation(r)?;
         Some(Relation {
             ids,
-            pool: &self.pool,
+            store: &self.store,
         })
     }
 
@@ -150,7 +150,7 @@ impl Database {
     /// Inserts a tuple into relation `r` (created if needed); returns
     /// whether it was new.
     pub fn insert(&mut self, r: &str, t: Tuple) -> Result<bool> {
-        self.ids.insert_constants(r, t, &mut self.pool)
+        self.ids.insert_constants(r, t, &mut self.store)
     }
 
     /// All relation names present.
@@ -165,23 +165,23 @@ impl Database {
 
     /// A database with this one's contents that evaluation can write: it
     /// shares every relation and interns new constants into a fresh top of
-    /// its own pool (see [`ConstPool::fork`]), in O(#relations).
+    /// its own store (see [`ValueStore::fork`]), in O(#relations).
     pub(crate) fn fork(&self) -> Database {
         Database {
-            pool: self.pool.fork(),
+            store: self.store.fork(),
             ids: self.ids.clone(),
         }
     }
 
-    /// The pool and the interned relations, to evaluate on.
-    pub(crate) fn parts_mut(&mut self) -> (&mut ConstPool, &mut IdDatabase) {
-        (&mut self.pool, &mut self.ids)
+    /// The value store and the interned relations, to evaluate on.
+    pub(crate) fn parts_mut(&mut self) -> (&mut ValueStore, &mut IdDatabase) {
+        (&mut self.store, &mut self.ids)
     }
 
     /// Number of interned constants.
     #[cfg(test)]
-    pub(crate) fn pool_len(&self) -> usize {
-        self.pool.len()
+    pub(crate) fn store_len(&self) -> usize {
+        self.store.len()
     }
 
     /// Do both databases hold relation `r` in the same shared storage?
@@ -195,7 +195,7 @@ impl Database {
 }
 
 /// Contents equality: the same relation names holding the same tuple sets,
-/// whatever the pools' numbering.
+/// whatever the stores' numbering.
 impl PartialEq for Database {
     fn eq(&self, other: &Database) -> bool {
         self.ids.count() == other.ids.count()
@@ -203,7 +203,7 @@ impl PartialEq for Database {
                 .ids
                 .relations()
                 .zip(other.ids.relations())
-                .all(|((an, a), (bn, b))| an == bn && same_tuples(a, &self.pool, b, &other.pool))
+                .all(|((an, a), (bn, b))| an == bn && same_tuples(a, &self.store, b, &other.store))
     }
 }
 

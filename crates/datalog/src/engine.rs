@@ -28,21 +28,22 @@
 //! A [`Database`] stores only interned data (the private `interned`
 //! module), so an `eval` call converts nothing: it starts from an
 //! O(#relations) copy-on-write fork of its input, interns the program's
-//! constants into the fork's pool and compiles every rule once — variables
-//! to dense substitution slots, constants to `CId`s — so the join matches,
-//! probes, and hashes `u32` ids instead of constants, and probes hit the
-//! relations' incremental per-column indexes (ensured ahead of each round,
-//! maintained by every insert) with no per-round rebuild. The fork is
-//! returned as the output: relations the run never writes stay shared with
-//! the input, and a caller reads a relation through a view that borrows it
-//! and resolves constants as it goes.
+//! constants into the fork's value store and compiles every rule once —
+//! variables to dense substitution slots, constants to `ValueId`s — so the
+//! join matches, probes, and hashes `u32` ids instead of constants, and
+//! probes hit the relations' incremental per-column indexes (ensured ahead
+//! of each round, maintained by every insert) with no per-round rebuild.
+//! The fork is returned as the output: relations the run never writes stay
+//! shared with the input, and a caller reads a relation through a view that
+//! borrows it and resolves constants as it goes.
 
 use crate::ast::{Atom, Database, DlTerm, Program, Rule};
-use crate::interned::{with_id_tuple, CId, ColIndex, ConstPool, IdDatabase, IdRelation};
+use crate::interned::{with_id_tuple, ColIndex, IdDatabase, IdRelation};
 use crate::stratify::stratify;
 use crate::{DlError, Result};
 use iql_core::govern::{AbortReason, Governor, Pacer};
 use iql_exec::{choose_probe, effective_threads, run_tasks};
+use iql_model::{ValueId, ValueInterner, ValueStore};
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
@@ -117,7 +118,7 @@ impl std::fmt::Display for Strategy {
 /// A compiled atom argument: an interned constant or a substitution slot.
 #[derive(Debug, Clone, Copy)]
 enum ArgSpec {
-    Const(CId),
+    Const(ValueId),
     Var(u32),
 }
 
@@ -127,12 +128,12 @@ struct CAtom<'r> {
     args: Vec<ArgSpec>,
 }
 
-/// A rule compiled against a [`ConstPool`]: variables renamed to dense
-/// slots (the substitution is a flat `Vec<Option<CId>>`, not a string-keyed
-/// map), constants interned, and positives/negatives pre-split. The
-/// executor walks the positive atoms in body order, then checks the
-/// negative atoms in body order (safety bounds their variables only once
-/// every positive has matched).
+/// A rule compiled against a [`ValueStore`]: variables renamed to dense
+/// slots (the substitution is a flat `Vec<Option<ValueId>>`, not a
+/// string-keyed map), constants interned, and positives/negatives
+/// pre-split. The executor walks the positive atoms in body order, then
+/// checks the negative atoms in body order (safety bounds their variables
+/// only once every positive has matched).
 struct CompiledRule<'r> {
     head_rel: &'r str,
     head: Vec<ArgSpec>,
@@ -151,14 +152,14 @@ struct CompiledRule<'r> {
 
 fn compile_atom<'r>(
     atom: &'r Atom,
-    pool: &mut ConstPool,
+    store: &mut ValueStore,
     slots: &mut HashMap<&'r str, u32>,
 ) -> CAtom<'r> {
     let args = atom
         .args
         .iter()
         .map(|t| match t {
-            DlTerm::Const(c) => ArgSpec::Const(pool.intern(c.clone())),
+            DlTerm::Const(c) => ArgSpec::Const(store.const_id(c.clone())),
             DlTerm::Var(v) => {
                 let next = u32::try_from(slots.len()).expect("slot overflow");
                 ArgSpec::Var(*slots.entry(v.as_str()).or_insert(next))
@@ -171,21 +172,21 @@ fn compile_atom<'r>(
     }
 }
 
-fn compile_rule<'r>(rule: &'r Rule, pool: &mut ConstPool) -> CompiledRule<'r> {
+fn compile_rule<'r>(rule: &'r Rule, store: &mut ValueStore) -> CompiledRule<'r> {
     let mut slots: HashMap<&str, u32> = HashMap::new();
     let positives: Vec<CAtom<'r>> = rule
         .body
         .iter()
         .filter(|l| l.positive)
-        .map(|l| compile_atom(&l.atom, pool, &mut slots))
+        .map(|l| compile_atom(&l.atom, store, &mut slots))
         .collect();
     let negatives: Vec<CAtom<'r>> = rule
         .body
         .iter()
         .filter(|l| !l.positive)
-        .map(|l| compile_atom(&l.atom, pool, &mut slots))
+        .map(|l| compile_atom(&l.atom, store, &mut slots))
         .collect();
-    let head = compile_atom(&rule.head, pool, &mut slots);
+    let head = compile_atom(&rule.head, store, &mut slots);
     let nslots = slots.len();
     let probe_cands = probe_candidates(&positives, nslots);
     CompiledRule {
@@ -198,8 +199,8 @@ fn compile_rule<'r>(rule: &'r Rule, pool: &mut ConstPool) -> CompiledRule<'r> {
     }
 }
 
-fn compile_rules<'r>(rules: &'r [Rule], pool: &mut ConstPool) -> Vec<CompiledRule<'r>> {
-    rules.iter().map(|r| compile_rule(r, pool)).collect()
+fn compile_rules<'r>(rules: &'r [Rule], store: &mut ValueStore) -> Vec<CompiledRule<'r>> {
+    rules.iter().map(|r| compile_rule(r, store)).collect()
 }
 
 /// Each positive atom's probe candidates: the columns whose argument is a
@@ -230,7 +231,7 @@ fn probe_candidates(positives: &[CAtom<'_>], nslots: usize) -> Vec<Vec<usize>> {
     probe_cands
 }
 
-fn arg_value(a: &ArgSpec, subst: &[Option<CId>]) -> Option<CId> {
+fn arg_value(a: &ArgSpec, subst: &[Option<ValueId>]) -> Option<ValueId> {
     match a {
         ArgSpec::Const(k) => Some(*k),
         ArgSpec::Var(s) => subst[*s as usize],
@@ -243,8 +244,8 @@ fn arg_value(a: &ArgSpec, subst: &[Option<CId>]) -> Option<CId> {
 /// in the join.
 fn match_tuple(
     atom: &CAtom<'_>,
-    tuple: &[CId],
-    subst: &mut [Option<CId>],
+    tuple: &[ValueId],
+    subst: &mut [Option<ValueId>],
     touched: &mut Vec<u32>,
 ) -> bool {
     for (a, &c) in atom.args.iter().zip(tuple.iter()) {
@@ -270,7 +271,7 @@ fn match_tuple(
     true
 }
 
-fn unwind(subst: &mut [Option<CId>], touched: &mut Vec<u32>, mark: usize) {
+fn unwind(subst: &mut [Option<ValueId>], touched: &mut Vec<u32>, mark: usize) {
     while touched.len() > mark {
         let s = touched.pop().expect("trail non-empty");
         subst[s as usize] = None;
@@ -282,7 +283,7 @@ fn unwind(subst: &mut [Option<CId>], touched: &mut Vec<u32>, mark: usize) {
 /// by [`IdDatabase::insert_all`].
 #[derive(Default)]
 struct Derived {
-    ids: Vec<CId>,
+    ids: Vec<ValueId>,
     count: usize,
 }
 
@@ -397,7 +398,7 @@ struct Walk<'a, 'r> {
     neg_view: &'a IdDatabase,
     gov: &'a Governor,
     pacer: Pacer,
-    subst: Vec<Option<CId>>,
+    subst: Vec<Option<ValueId>>,
     touched: Vec<u32>,
     out: &'a mut Derived,
 }
@@ -649,11 +650,11 @@ pub fn eval_governed(
     let panic_rule = TEST_PANIC_RULE.get();
     // The run writes a copy-on-write fork of its input, never the input
     // itself: relations are shared until first written, and the program's
-    // new constants go into the fork's own pool top. Derivation only
+    // new constants go into the fork's own store top. Derivation only
     // recombines constants already present in the EDB or the program, so
-    // the pool never grows after compilation.
+    // the store never grows after compilation.
     let mut out = edb.fork();
-    let (pool, db) = out.parts_mut();
+    let (store, db) = out.parts_mut();
     check_arities(prog, db)?;
     let mut stats = EvalStats {
         threads,
@@ -664,11 +665,11 @@ pub fn eval_governed(
     }
     match strategy {
         Strategy::Naive | Strategy::Inflationary => {
-            let rules = compile_rules(&prog.rules, pool);
+            let rules = compile_rules(&prog.rules, store);
             fixpoint(&rules, db, None, threads, panic_rule, gov, &mut stats)?;
         }
         Strategy::SemiNaive => {
-            let rules = compile_rules(&prog.rules, pool);
+            let rules = compile_rules(&prog.rules, store);
             let no_negation = IdDatabase::new();
             fixpoint(
                 &rules,
@@ -682,7 +683,7 @@ pub fn eval_governed(
         }
         Strategy::Stratified => {
             for stratum in &stratify(prog)? {
-                let rules = compile_rules(&stratum.rules, pool);
+                let rules = compile_rules(&stratum.rules, store);
                 // Negation inside a stratum only mentions lower-stratum
                 // relations, which are final in `db` — so the view shares
                 // exactly the relations this stratum negates (a
@@ -1143,7 +1144,7 @@ mod tests {
         .unwrap();
         let db = string_graph();
         let before = db.clone();
-        let pool_len = db.pool_len();
+        let store_len = db.store_len();
         let names: Vec<String> = db.names().map(str::to_string).collect();
         let strategies = [Strategy::SemiNaive, Strategy::Naive, Strategy::Stratified];
         for run in 0..100 {
@@ -1160,7 +1161,7 @@ mod tests {
         }
         assert_eq!(db, before);
         assert_eq!(db, string_graph());
-        assert_eq!(db.pool_len(), pool_len, "program constants stay out");
+        assert_eq!(db.store_len(), store_len, "program constants stay out");
         assert_eq!(db.names().collect::<Vec<_>>(), names);
         let edge = db.relation("Edge").unwrap();
         assert!(!edge.contains(&[Constant::str("zz"), Constant::str("a")]));
@@ -1186,7 +1187,7 @@ mod tests {
         )
         .unwrap();
         let (out, _) = eval(&first, &string_graph(), Strategy::SemiNaive).unwrap();
-        // The same contents, loaded from scratch into a fresh pool.
+        // The same contents, loaded from scratch into a fresh store.
         let mut fresh = Database::new();
         for name in out.names() {
             fresh.declare(name);

@@ -1,15 +1,17 @@
 //! The interned representation — the only one a [`crate::Database`] stores.
 //!
-//! A [`ConstPool`] interns every constant once, and from then on tuples are
-//! runs of [`CId`]s — `Copy` handles with O(1) equality and trivially cheap
-//! hashing. [`Database::insert`](crate::Database::insert) interns on the way
-//! in, so a loaded database already holds ids, and evaluation starts from
-//! an O(#relations) copy-on-write fork of it: the pool is a frozen, shared
-//! root plus a per-fork top, relations sit behind `Arc`s and are copied on
-//! their first write. Constants are resolved back only as a caller reads
-//! them, through the borrowed [`crate::Relation`] view.
+//! A database interns every constant once into the model's
+//! [`ValueStore`], the interner IQL uses too (a Datalog constant is the
+//! o-value [`Node::Const`]), and from then on tuples are runs of
+//! [`ValueId`]s — `Copy` handles with O(1) equality and trivially cheap
+//! hashing. [`Database::insert`](crate::Database::insert) interns on the
+//! way in, so a loaded database already holds ids, and evaluation starts
+//! from an O(#relations) copy-on-write fork of it: the store is a frozen,
+//! shared root plus a per-fork top, relations sit behind `Arc`s and are
+//! copied on their first write. Constants are resolved back only as a
+//! caller reads them, through the borrowed [`crate::Relation`] view.
 //!
-//! An [`IdRelation`] stores its tuples flat (one `Vec<CId>`, stride =
+//! An [`IdRelation`] stores its tuples flat (one `Vec<ValueId>`, stride =
 //! arity) in insertion order, which makes fixpoint iteration deterministic,
 //! next to a hash-chained membership map and *incremental* per-column
 //! indexes: each built on demand when the join planner may probe its
@@ -23,203 +25,50 @@
 //! nothing beyond amortized vector and map growth.
 
 use crate::{DlError, Result};
-use iql_model::Constant;
+use iql_model::{Constant, HashChains, Node, ValueId, ValueInterner, ValueReader, ValueStore};
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::BuildHasher;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
-
-/// An interned constant: an index into a [`ConstPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) struct CId(u32);
 
 /// The end of a position chain.
 const NONE: u32 = u32::MAX;
 
-/// Passes a precomputed `u64` hash through, so a map keyed by hashes does
-/// not hash them a second time. The keys are `RandomState` hashes, so the
-/// map keeps its protection against inputs crafted to collide.
-#[derive(Debug, Default, Clone, Copy)]
-struct Prehashed(u64);
-
-impl Hasher for Prehashed {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("only u64 hashes are keys")
-    }
-
-    fn write_u64(&mut self, h: u64) {
-        self.0 = h;
+/// The constant behind `id`: a Datalog database interns only constants.
+pub(crate) fn constant(store: &ValueStore, id: ValueId) -> &Constant {
+    match store.node(id) {
+        Node::Const(c) => c,
+        other => unreachable!("a Datalog store holds only constants, not {other:?}"),
     }
 }
 
-/// Hash-chained positions `0..len()`: each hash (computed by the owner
-/// with a std `RandomState`) maps to the newest position stored under it,
-/// and `next` links every position to the next older one with the same
-/// hash. A lookup compares the stored items along the chain, so a hash
-/// collision can never merge two of them.
-#[derive(Debug, Clone, Default)]
-struct HashChains {
-    newest: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
-    next: Vec<u32>,
-}
-
-impl HashChains {
-    /// The position under hash `h` for which `is` holds, if any.
-    fn find(&self, h: u64, mut is: impl FnMut(u32) -> bool) -> Option<u32> {
-        let mut pos = self.newest.get(&h).copied().unwrap_or(NONE);
-        while pos != NONE {
-            if is(pos) {
-                return Some(pos);
-            }
-            pos = self.next[pos as usize];
-        }
-        None
-    }
-
-    /// Records the next position under hash `h`.
-    fn push(&mut self, h: u64) {
-        let pos = u32::try_from(self.next.len()).expect("position overflow");
-        let older = self.newest.insert(h, pos).unwrap_or(NONE);
-        self.next.push(older);
-    }
-
-    fn len(&self) -> usize {
-        self.next.len()
-    }
-}
-
-/// One append-only run of interned constants, holding ids `start..end()`.
-#[derive(Debug, Clone, Default)]
-struct PoolLayer {
-    start: u32,
-    consts: Vec<Constant>,
-    chains: HashChains,
-}
-
-impl PoolLayer {
-    fn at(start: u32) -> PoolLayer {
-        PoolLayer {
-            start,
-            ..PoolLayer::default()
-        }
-    }
-
-    fn end(&self) -> u32 {
-        u32::try_from(self.consts.len())
-            .ok()
-            .and_then(|n| self.start.checked_add(n))
-            .expect("constant pool overflow")
-    }
-
-    /// The id of `c`, whose hash is `h`, if this layer holds it.
-    fn find(&self, h: u64, c: &Constant) -> Option<CId> {
-        self.chains
-            .find(h, |i| self.consts[i as usize] == *c)
-            .map(|i| CId(self.start + i))
-    }
-
-    /// Appends `c`, known to be absent from the whole pool.
-    fn push(&mut self, h: u64, c: Constant) -> CId {
-        let id = CId(self.end());
-        self.chains.push(h);
-        self.consts.push(c);
-        id
-    }
-}
-
-/// Interner mapping [`Constant`]s to dense [`CId`]s. Copy-on-write, like
-/// the IQL value store: a frozen, `Arc`-shared **root** plus a **top** that
-/// takes new constants with ids continuing above the root. Derivation can
-/// only recombine existing constants (head arguments are rule constants or
-/// variables bound to stored tuples), so an evaluation grows its fork's top
-/// by the program's new constants only. Both layers chain by the same
-/// hasher, so a constant is hashed once per lookup.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ConstPool {
-    hasher: RandomState,
-    root: Arc<PoolLayer>,
-    top: Arc<PoolLayer>,
-}
-
-impl ConstPool {
-    /// Interns `c`, moving it into the pool on a miss; returns its id.
-    pub(crate) fn intern(&mut self, c: Constant) -> CId {
-        let h = self.hasher.hash_one(&c);
-        match self.find(h, &c) {
-            Some(id) => id,
-            None => Arc::make_mut(&mut self.top).push(h, c),
-        }
-    }
-
-    fn find(&self, h: u64, c: &Constant) -> Option<CId> {
-        self.root.find(h, c).or_else(|| self.top.find(h, c))
-    }
-
-    /// The id of `c`, if interned.
-    pub(crate) fn lookup(&self, c: &Constant) -> Option<CId> {
-        self.find(self.hasher.hash_one(c), c)
-    }
-
-    /// The constant behind an id.
-    pub(crate) fn resolve(&self, id: CId) -> &Constant {
-        match id.0.checked_sub(self.top.start) {
-            Some(i) => &self.top.consts[i as usize],
-            None => &self.root.consts[id.0 as usize],
-        }
-    }
-
-    /// Number of interned constants, the shared root included.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.top.end() as usize
-    }
-
-    /// A pool holding exactly this pool's constants, under the same ids,
-    /// that interns new ones into a fresh top of its own. O(1) when at most
-    /// one layer is populated; otherwise the two layers are flattened into
-    /// one new root, so a lookup is never more than one level deep.
-    pub(crate) fn fork(&self) -> ConstPool {
-        let root = if self.top.consts.is_empty() {
-            Arc::clone(&self.root)
-        } else if self.root.consts.is_empty() {
-            Arc::clone(&self.top)
-        } else {
-            let mut flat = (*self.root).clone();
-            for c in &self.top.consts {
-                flat.push(self.hasher.hash_one(c), c.clone());
-            }
-            Arc::new(flat)
-        };
-        ConstPool {
-            hasher: self.hasher.clone(),
-            top: Arc::new(PoolLayer::at(root.end())),
-            root,
-        }
-    }
+/// The id of `c`, if `store` interned it.
+pub(crate) fn lookup_constant(store: &ValueStore, c: &Constant) -> Option<ValueId> {
+    store.lookup(&Node::Const(c.clone()))
 }
 
 /// Runs `k` on the tuple of ids yielded by `ids`, or returns `None` if any
 /// is `None`. Arities up to 8 use a stack buffer, so the per-tuple paths
 /// (loading, `contains`, negation guards) allocate nothing.
 pub(crate) fn with_id_tuple<R>(
-    ids: impl ExactSizeIterator<Item = Option<CId>>,
-    k: impl FnOnce(&[CId]) -> R,
+    mut ids: impl ExactSizeIterator<Item = Option<ValueId>>,
+    k: impl FnOnce(&[ValueId]) -> R,
 ) -> Option<R> {
-    let mut small = [CId(0); 8];
-    let mut big = Vec::new();
     let n = ids.len();
-    let buf: &mut [CId] = if n <= small.len() {
+    let Some(first) = ids.next() else {
+        return Some(k(&[]));
+    };
+    let first = first?;
+    let mut small = [first; 8];
+    let mut big = Vec::new();
+    let buf: &mut [ValueId] = if n <= small.len() {
         &mut small[..n]
     } else {
-        big.resize(n, CId(0));
+        big.resize(n, first);
         &mut big
     };
-    for (slot, id) in buf.iter_mut().zip(ids) {
+    for (slot, id) in buf[1..].iter_mut().zip(ids) {
         *slot = id?;
     }
     Some(k(buf))
@@ -235,7 +84,7 @@ struct Members {
 
 /// Is `t`, whose membership hash is `h`, among the tuples of `data` (of
 /// `arity` ids each) that `chains` holds?
-fn holds(data: &[CId], arity: usize, chains: &HashChains, t: &[CId], h: u64) -> bool {
+fn holds(data: &[ValueId], arity: usize, chains: &HashChains, t: &[ValueId], h: u64) -> bool {
     chains
         .find(h, |pos| {
             let start = pos as usize * arity;
@@ -254,13 +103,13 @@ fn holds(data: &[CId], arity: usize, chains: &HashChains, t: &[CId], h: u64) -> 
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ColIndex {
     base: u32,
-    ends: HashMap<CId, (u32, u32)>,
+    ends: HashMap<ValueId, (u32, u32)>,
     next: Vec<u32>,
 }
 
 impl ColIndex {
     /// Records the next position, whose column value is `key`.
-    fn push(&mut self, key: CId) {
+    fn push(&mut self, key: ValueId) {
         let pos = u32::try_from(self.next.len())
             .ok()
             .and_then(|n| self.base.checked_add(n))
@@ -279,7 +128,7 @@ impl ColIndex {
     }
 
     /// The first (lowest) position whose column value is `key`.
-    fn first(&self, key: CId) -> Option<u32> {
+    fn first(&self, key: ValueId) -> Option<u32> {
         self.ends.get(&key).map(|&(first, _)| first)
     }
 
@@ -312,7 +161,7 @@ pub(crate) struct IdRelation {
     arity: Option<usize>,
     /// Tuples in insertion order, `arity` ids each — the deterministic
     /// scan order.
-    data: Arc<Vec<CId>>,
+    data: Arc<Vec<ValueId>>,
     members: Arc<Members>,
     /// One index slot per column, created by the first insert. A column's
     /// index is built on demand by [`Self::ensure_index`] when the join
@@ -328,7 +177,7 @@ pub(crate) struct IdRelation {
 /// of inserts, so that storing a tuple pays no copy-on-write check.
 struct Writer<'a> {
     arity: usize,
-    data: &'a mut Vec<CId>,
+    data: &'a mut Vec<ValueId>,
     members: &'a mut Members,
     /// The built indexes, each with its column.
     indexes: Vec<(usize, &'a mut ColIndex)>,
@@ -336,7 +185,7 @@ struct Writer<'a> {
 
 impl Writer<'_> {
     /// Appends `t`, known to be absent, under membership hash `h`.
-    fn push(&mut self, t: &[CId], h: u64) {
+    fn push(&mut self, t: &[ValueId], h: u64) {
         self.data.extend_from_slice(t);
         self.members.chains.push(h);
         for (col, idx) in &mut self.indexes {
@@ -345,7 +194,7 @@ impl Writer<'_> {
     }
 
     /// Appends `t` unless it is stored already; returns whether it was new.
-    fn insert(&mut self, t: &[CId]) -> bool {
+    fn insert(&mut self, t: &[ValueId]) -> bool {
         let h = self.members.hasher.hash_one(t);
         if holds(self.data, self.arity, &self.members.chains, t, h) {
             return false;
@@ -369,12 +218,12 @@ impl IdRelation {
     }
 
     /// The membership hash of `t`.
-    fn hash(&self, t: &[CId]) -> u64 {
+    fn hash(&self, t: &[ValueId]) -> u64 {
         self.members.hasher.hash_one(t)
     }
 
     /// Is `t`, whose membership hash is `h`, stored?
-    fn contains_hashed(&self, t: &[CId], h: u64) -> bool {
+    fn contains_hashed(&self, t: &[ValueId], h: u64) -> bool {
         holds(
             &self.data,
             self.arity.unwrap_or(0),
@@ -385,7 +234,7 @@ impl IdRelation {
     }
 
     /// Membership test.
-    pub(crate) fn contains(&self, t: &[CId]) -> bool {
+    pub(crate) fn contains(&self, t: &[ValueId]) -> bool {
         self.arity == Some(t.len()) && self.contains_hashed(t, self.hash(t))
     }
 
@@ -413,7 +262,7 @@ impl IdRelation {
     /// Inserts `t` as if its membership hash were `h` — the seam that lets
     /// tests force hash collisions; returns whether it was new.
     #[cfg(test)]
-    fn insert_hashed(&mut self, t: &[CId], h: u64) -> Result<bool> {
+    fn insert_hashed(&mut self, t: &[ValueId], h: u64) -> Result<bool> {
         self.check_arity(t.len())?;
         if self.contains_hashed(t, h) {
             return Ok(false);
@@ -424,12 +273,12 @@ impl IdRelation {
 
     /// Inserts a tuple; returns whether it was new.
     #[cfg(test)]
-    fn insert(&mut self, t: &[CId]) -> Result<bool> {
+    fn insert(&mut self, t: &[ValueId]) -> Result<bool> {
         self.insert_hashed(t, self.hash(t))
     }
 
     /// The tuples, in insertion order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[CId]> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[ValueId]> + '_ {
         (0..self.len()).map(|pos| self.tuple_at(pos as u32))
     }
 
@@ -445,7 +294,7 @@ impl IdRelation {
     pub(crate) fn positions<'a>(
         &self,
         range: Range<u32>,
-        probe: Option<(&'a ColIndex, CId)>,
+        probe: Option<(&'a ColIndex, ValueId)>,
     ) -> impl Iterator<Item = u32> + 'a {
         debug_assert!(range.end as usize <= self.len());
         let first = match probe {
@@ -459,7 +308,7 @@ impl IdRelation {
     }
 
     /// The tuple at `pos` (a position from an index).
-    pub(crate) fn tuple_at(&self, pos: u32) -> &[CId] {
+    pub(crate) fn tuple_at(&self, pos: u32) -> &[ValueId] {
         let a = self.arity.unwrap_or(0);
         let start = pos as usize * a;
         &self.data[start..start + a]
@@ -513,7 +362,7 @@ impl IdRelation {
 /// yet, in order; returns how many were new. `rel` is unshared — its data,
 /// membership and built indexes copied if a clone shares them — only once
 /// a first new tuple turns up.
-fn insert_new(rel: &mut Arc<IdRelation>, arity: usize, ids: &[CId], count: usize) -> usize {
+fn insert_new(rel: &mut Arc<IdRelation>, arity: usize, ids: &[ValueId], count: usize) -> usize {
     let mut tuples = (0..count).map(|i| &ids[i * arity..(i + 1) * arity]);
     let Some((first, h)) = tuples
         .by_ref()
@@ -605,7 +454,7 @@ impl IdDatabase {
         &mut self,
         r: &str,
         arity: usize,
-        ids: &[CId],
+        ids: &[ValueId],
         count: usize,
     ) -> Result<usize> {
         if count == 0 {
@@ -619,23 +468,23 @@ impl IdDatabase {
     /// Inserts a tuple into relation `r` (created if needed); returns
     /// whether it was new.
     #[cfg(test)]
-    pub(crate) fn insert(&mut self, r: &str, t: &[CId]) -> Result<bool> {
+    pub(crate) fn insert(&mut self, r: &str, t: &[ValueId]) -> Result<bool> {
         Ok(self.insert_all(r, t.len(), t, 1)? == 1)
     }
 
-    /// Interns the constants of `t` into `pool` and inserts the result into
+    /// Interns the constants of `t` into `store` and inserts the result into
     /// relation `r` (created if needed); returns whether it was new. A
     /// tuple of the wrong arity fails before any constant is interned.
     pub(crate) fn insert_constants(
         &mut self,
         r: &str,
         t: Vec<Constant>,
-        pool: &mut ConstPool,
+        store: &mut ValueStore,
     ) -> Result<bool> {
         let rel = self.relation_mut(r);
         rel.check_arity(t.len()).map_err(name_arity_error(r))?;
         Ok(
-            with_id_tuple(t.into_iter().map(|c| Some(pool.intern(c))), |t| {
+            with_id_tuple(t.into_iter().map(|c| Some(store.const_id(c))), |t| {
                 insert_new(rel, t.len(), t, 1) == 1
             })
             .expect("every constant interns"),
@@ -666,59 +515,51 @@ impl IdDatabase {
 mod tests {
     use super::*;
 
-    fn cid(pool: &mut ConstPool, n: i64) -> CId {
-        pool.intern(Constant::int(n))
+    fn cid(store: &mut ValueStore, n: i64) -> ValueId {
+        store.const_id(Constant::int(n))
     }
 
     fn distinct(rel: &IdRelation, col: usize) -> Option<usize> {
         rel.index(col).map(ColIndex::distinct)
     }
 
-    fn postings(rel: &IdRelation, col: usize, key: CId) -> Vec<u32> {
+    fn postings(rel: &IdRelation, col: usize, key: ValueId) -> Vec<u32> {
         let idx = rel.index(col).expect("index built");
         rel.positions(rel.all(), Some((idx, key))).collect()
     }
 
     #[test]
-    fn pool_interns_and_resolves() {
-        let mut pool = ConstPool::default();
-        let a = cid(&mut pool, 1);
-        let b = cid(&mut pool, 2);
-        assert_ne!(a, b);
-        assert_eq!(cid(&mut pool, 1), a, "re-interning is stable");
-        assert_eq!(pool.resolve(a), &Constant::int(1));
-        assert_eq!(pool.resolve(b), &Constant::int(2));
-        assert_eq!(pool.lookup(&Constant::int(3)), None);
-        assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
     fn pool_fork_continues_ids_and_flattens() {
-        let mut base = ConstPool::default();
+        // The store a database interns its constants into, forked as
+        // evaluation forks the database.
+        let mut base = ValueStore::new();
         let a = cid(&mut base, 1);
-        // A never-forked pool's top becomes the fork's root as is.
         let mut fork = base.fork();
-        assert!(Arc::ptr_eq(&fork.root, &base.top));
+        assert_eq!(fork.heap_bytes(), base.heap_bytes(), "nothing copied");
         let b = cid(&mut fork, 2);
-        assert_eq!(b.0, 1, "new ids continue above the root");
+        assert_eq!(b.raw(), 1, "new ids continue above the root");
         assert_eq!(cid(&mut fork, 1), a, "root hit");
         assert_eq!(base.len(), 1, "the parent never sees the fork's constants");
-        assert_eq!(base.lookup(&Constant::int(2)), None);
-        // Root and top both populated: the next fork flattens them.
+        assert_eq!(base.lookup(&Node::Const(Constant::int(2))), None);
+        // Root and top both populated: the next fork flattens them and
+        // still resolves every constant under its old id.
         let mut leaf = fork.fork();
-        assert!(leaf.top.consts.is_empty());
-        assert_eq!(leaf.root.consts.len(), 2);
-        assert_eq!(leaf.resolve(b), &Constant::int(2));
-        // A fork with nothing new on top shares the root as is.
-        assert!(Arc::ptr_eq(&leaf.fork().root, &leaf.root));
-        assert_eq!(cid(&mut leaf, 3).0, 2);
+        assert_eq!(leaf.len(), 2);
+        assert_eq!(leaf.heap_bytes(), fork.heap_bytes());
+        assert_eq!(leaf.node(a), &Node::Const(Constant::int(1)));
+        assert_eq!(leaf.node(b), &Node::Const(Constant::int(2)));
+        // A fork with nothing new on top numbers above the same root.
+        let mut again = leaf.fork();
+        assert_eq!(cid(&mut again, 3).raw(), 2);
+        assert_eq!(cid(&mut leaf, 3).raw(), 2);
+        assert_eq!(cid(&mut again, 2), b, "root hit after the flatten");
         assert_eq!(fork.len(), 2);
     }
 
     #[test]
     fn relation_dedups_and_indexes_first_column() {
-        let mut pool = ConstPool::default();
-        let (a, b, c) = (cid(&mut pool, 1), cid(&mut pool, 2), cid(&mut pool, 3));
+        let mut store = ValueStore::new();
+        let (a, b, c) = (cid(&mut store, 1), cid(&mut store, 2), cid(&mut store, 3));
         let mut rel = IdRelation::default();
         assert!(rel.insert(&[a, b]).unwrap());
         assert!(!rel.insert(&[a, b]).unwrap(), "duplicate");
@@ -752,7 +593,7 @@ mod tests {
         assert!(rel.index(2).is_none());
         assert_eq!(rel.arity(), Some(2));
         // Insertion order is preserved.
-        let scan: Vec<&[CId]> = rel.iter().collect();
+        let scan: Vec<&[ValueId]> = rel.iter().collect();
         assert_eq!(scan, vec![&[a, b][..], &[a, c], &[b, c], &[c, a]]);
     }
 
@@ -764,13 +605,13 @@ mod tests {
         assert!(!rel.insert(&[]).unwrap());
         assert_eq!(rel.len(), 1);
         assert!(rel.contains(&[]));
-        assert_eq!(rel.iter().collect::<Vec<_>>(), vec![&[] as &[CId]]);
+        assert_eq!(rel.iter().collect::<Vec<_>>(), vec![&[] as &[ValueId]]);
     }
 
     #[test]
     fn forced_hash_collisions_never_merge_tuples() {
-        let mut pool = ConstPool::default();
-        let ids: Vec<CId> = (0..6).map(|n| cid(&mut pool, n)).collect();
+        let mut store = ValueStore::new();
+        let ids: Vec<ValueId> = (0..6).map(|n| cid(&mut store, n)).collect();
         let mut rel = IdRelation::default();
         let mut stored = Vec::new();
         for (i, &x) in ids.iter().enumerate() {
@@ -792,7 +633,10 @@ mod tests {
             !rel.contains_hashed(&stored[0], 8),
             "a different hash misses"
         );
-        assert_eq!(rel.iter().map(<[CId]>::to_vec).collect::<Vec<_>>(), stored);
+        assert_eq!(
+            rel.iter().map(<[ValueId]>::to_vec).collect::<Vec<_>>(),
+            stored
+        );
         // Every column's postings stay ascending and agree with a scan,
         // whether maintained (column 0) or built at once (column 1).
         rel.ensure_index(1);
@@ -809,8 +653,8 @@ mod tests {
 
     #[test]
     fn relation_arity_enforced() {
-        let mut pool = ConstPool::default();
-        let a = cid(&mut pool, 1);
+        let mut store = ValueStore::new();
+        let a = cid(&mut store, 1);
         let mut rel = IdRelation::default();
         rel.insert(&[a, a]).unwrap();
         assert!(matches!(rel.insert(&[a]), Err(DlError::Arity { .. })));
@@ -824,8 +668,8 @@ mod tests {
 
     #[test]
     fn clones_share_storage_until_written() {
-        let mut pool = ConstPool::default();
-        let (a, b) = (cid(&mut pool, 1), cid(&mut pool, 2));
+        let mut store = ValueStore::new();
+        let (a, b) = (cid(&mut store, 1), cid(&mut store, 2));
         let mut db = IdDatabase::new();
         db.insert("Edge", &[a, b]).unwrap();
         let mut fork = db.clone();
@@ -857,8 +701,8 @@ mod tests {
 
     #[test]
     fn freeze_view_shares_only_the_negated_relations() {
-        let mut pool = ConstPool::default();
-        let (a, b) = (cid(&mut pool, 1), cid(&mut pool, 2));
+        let mut store = ValueStore::new();
+        let (a, b) = (cid(&mut store, 1), cid(&mut store, 2));
         let mut db = IdDatabase::new();
         db.insert("Neg", &[a, b]).unwrap();
         db.insert("Other", &[b]).unwrap();
@@ -885,8 +729,8 @@ mod tests {
 
     #[test]
     fn distinct_counts_feed_the_shared_probe_policy() {
-        let mut pool = ConstPool::default();
-        let (a, b, c) = (cid(&mut pool, 1), cid(&mut pool, 2), cid(&mut pool, 3));
+        let mut store = ValueStore::new();
+        let (a, b, c) = (cid(&mut store, 1), cid(&mut store, 2), cid(&mut store, 3));
         let mut db = IdDatabase::new();
         db.insert("Edge", &[a, b]).unwrap();
         db.insert("Edge", &[a, c]).unwrap();
@@ -907,8 +751,8 @@ mod tests {
 
     #[test]
     fn a_batch_unshares_only_for_a_new_tuple() {
-        let mut pool = ConstPool::default();
-        let (a, b, c) = (cid(&mut pool, 1), cid(&mut pool, 2), cid(&mut pool, 3));
+        let mut store = ValueStore::new();
+        let (a, b, c) = (cid(&mut store, 1), cid(&mut store, 2), cid(&mut store, 3));
         let mut db = IdDatabase::new();
         db.insert("Edge", &[a, b]).unwrap();
         db.ensure_index("Edge", 0);
@@ -928,7 +772,7 @@ mod tests {
         assert_eq!(fork.insert_all("Edge", 2, &batch, 5).unwrap(), 2);
         assert!(!shared(&fork));
         let edge = fork.relation("Edge").unwrap();
-        let scan: Vec<&[CId]> = edge.iter().collect();
+        let scan: Vec<&[ValueId]> = edge.iter().collect();
         assert_eq!(scan, vec![&[a, b][..], &[b, c], &[c, a]]);
         assert_eq!(postings(edge, 0, c), vec![2]);
         assert_eq!(db.size(), 1);
@@ -944,8 +788,8 @@ mod tests {
 
     #[test]
     fn a_range_scans_and_indexes_only_its_positions() {
-        let mut pool = ConstPool::default();
-        let ids: Vec<CId> = (0..3).map(|n| cid(&mut pool, n)).collect();
+        let mut store = ValueStore::new();
+        let ids: Vec<ValueId> = (0..3).map(|n| cid(&mut store, n)).collect();
         let mut rel = IdRelation::default();
         for (x, y) in [(0, 1), (1, 2), (0, 2), (2, 0), (0, 0), (1, 1)] {
             rel.insert(&[ids[x], ids[y]]).unwrap();

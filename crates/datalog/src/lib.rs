@@ -7,9 +7,11 @@
 //! the baseline for experiment E11 (IQL-as-Datalog vs. a dedicated engine):
 //!
 //! * [`ast`] — flat rules over constant tuples, with a small text parser,
-//!   and the [`Database`] they run on. A database stores only interned
-//!   constant ids: it is loaded once, and a relation is read in place
-//!   through the borrowed view [`Database::relation`] returns;
+//!   and the [`Database`] they run on. A database stores only the ids of
+//!   its constants, interned into an [`iql_model::ValueStore`] — the one
+//!   interner both engines use, since a Datalog constant is an o-value: it
+//!   is loaded once, and a relation is read in place through the borrowed
+//!   view [`Database::relation`] returns;
 //! * [`engine`] — one [`eval`]`(prog, edb, `[`Strategy`]`)` entry point
 //!   over **naive** and **semi-naive** bottom-up evaluation with
 //!   hash-indexed joins, plus **inflationary** Datalog¬ (the fixpoint

@@ -425,6 +425,14 @@ impl Instance {
     /// Id-native variant of [`Instance::add_set_member`]: `id` must come from
     /// this instance's [`ValueStore`].
     pub fn add_set_member_id(&mut self, oid: Oid, id: ValueId) -> Result<bool> {
+        Ok(self.add_set_members_id(oid, &[id])? == 1)
+    }
+
+    /// Adds every id of `ids` (from this instance's [`ValueStore`]) to the
+    /// set value of a set-valued oid, interning one new set node for all of
+    /// them, and returns how many members were new. A set that gains k
+    /// members this way leaves no intermediate set nodes in the store.
+    pub fn add_set_members_id(&mut self, oid: Oid, ids: &[ValueId]) -> Result<usize> {
         let class = self.class_of(oid).ok_or(ModelError::StrayOid(oid.raw()))?;
         if !self.schema.is_set_valued_class(class)? {
             return Err(ModelError::Invalid(format!(
@@ -435,19 +443,27 @@ impl Instance {
             .nu_ids
             .get(&oid)
             .expect("set-valued oids always carry a set value");
-        if self.store.set_contains(old, id) == Some(true) {
-            return Ok(false);
-        }
-        self.reserve_oids_of(id);
-        let mut elems = self
+        let elems = self
             .store
             .as_set(old)
-            .expect("set-valued oids always carry a set value")
-            .to_vec();
-        elems.push(id);
+            .expect("set-valued oids always carry a set value");
+        let mut fresh: Vec<ValueId> = ids
+            .iter()
+            .copied()
+            .filter(|id| elems.binary_search(id).is_err())
+            .collect();
+        if fresh.is_empty() {
+            return Ok(0);
+        }
+        fresh.sort_unstable();
+        fresh.dedup();
+        let elems = [elems, &fresh].concat();
+        for &id in &fresh {
+            self.reserve_oids_of(id);
+        }
         let new_id = self.store.set_id(elems);
         self.nu_mut().insert(oid, new_id);
-        Ok(true)
+        Ok(fresh.len())
     }
 
     /// Removes `id` from the value of `oid` when that value is a set
@@ -1350,6 +1366,16 @@ mod tests {
         i.validate().unwrap();
         assert!(i.add_set_member(o, OValue::int(1)).unwrap());
         assert!(!i.add_set_member(o, OValue::int(1)).unwrap());
+        // A batch counts only its new members, duplicates once, and
+        // interns one set node for all of them.
+        let ids = [2, 1, 3, 2].map(|n| i.intern_value(&OValue::int(n)));
+        let nodes = i.store().len();
+        assert_eq!(i.add_set_members_id(o, &ids).unwrap(), 2);
+        assert_eq!(i.store().len(), nodes + 1);
+        let want = OValue::set([1, 2, 3].map(OValue::int));
+        assert_eq!(i.value(o), Some(&want));
+        assert_eq!(i.add_set_members_id(o, &ids).unwrap(), 0);
+        assert_eq!(i.store().len(), nodes + 1);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! ownership problems cyclic data usually causes in Rust — an oid is a plain
 //! interned identifier, and dereferencing goes through the instance.
 
+pub mod chains;
 pub mod constant;
 pub mod error;
 pub mod idgen;
@@ -39,6 +40,7 @@ pub mod stats;
 pub mod store;
 pub mod types;
 
+pub use chains::HashChains;
 pub use constant::Constant;
 pub use error::ModelError;
 pub use idgen::{Oid, OidGen};

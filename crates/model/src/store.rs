@@ -17,19 +17,33 @@
 //! `resolve(intern(v)) == v` for every `OValue`, and `intern(a) ==
 //! intern(b)` iff `a == b`.
 //!
+//! The store is the one interner of the workspace: IQL interns whole
+//! o-values into it, and a Datalog database interns its constants into one
+//! (a Datalog constant is the o-value [`Node::Const`]). Each node is stored
+//! once, in its layer's arena; a layer finds a node through
+//! [`HashChains`] over arena positions, keyed by one hash that the store
+//! computes with its own `RandomState`. A lookup therefore hashes the node
+//! once, however many layers it probes, and compares nodes along the chain,
+//! so a hash collision can never merge two of them.
+//!
 //! [`Overlay`] layers a worker-local interner over a frozen base store so
 //! parallel evaluation can intern new values without synchronization, then
 //! replay them deterministically into the base via [`ValueStore::absorb`].
 //! [`ValueStore::fork`] is its owned counterpart: a store that shares its
 //! parent's nodes as a frozen `Arc` root and interns into a top of its own.
+//! Forks and overlays share the store's hasher.
 
+use crate::chains::HashChains;
 use crate::constant::Constant;
 use crate::idgen::Oid;
 use crate::names::AttrName;
 use crate::ovalue::OValue;
+use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::hash::BuildHasher;
+use std::sync::{Arc, OnceLock};
 
 /// A handle to an interned o-value: dense, `Copy`, O(1) equality/hash.
 ///
@@ -72,10 +86,12 @@ pub enum Node {
     Set(Arc<[ValueId]>),
 }
 
-/// Cached per-node facts, computed once at intern time.
+/// The facts an interned node caches, read through [`ValueReader`]. All
+/// but one are computed once at intern time; a set node's elements in tree
+/// order are sorted by the first [`ValueReader::cmp_resolved`] that needs
+/// them, so interning pays nothing for them.
 #[derive(Clone)]
-struct Meta {
-    node: Node,
+pub struct Meta {
     /// Sorted, distinct oids of the whole subtree. Empty ⇔ oid-free.
     oids: Arc<[Oid]>,
     /// Does the subtree mention any constant?
@@ -85,21 +101,28 @@ struct Meta {
     /// Node count of the resolved tree (shared substructure counted per
     /// occurrence, matching [`OValue::size`]); saturating.
     size: u32,
+    /// A set node's elements in the order of its resolved `BTreeSet`.
+    tree_order: OnceLock<Box<[ValueId]>>,
 }
 
+/// Heap bytes of one node's chain entry: its `next` link and at most one
+/// `newest` slot (hash key and position) in its layer's [`HashChains`].
+const CHAIN_BYTES: usize = std::mem::size_of::<u32>() + std::mem::size_of::<(u64, u32)>();
+
 /// Heap-byte estimate of one freshly interned node: the fixed per-node
-/// bookkeeping (arena [`Meta`] entry plus interning-map key) and the
-/// payloads it retains (tuple/set spines, string bytes, the cached oid
-/// slice).
+/// bookkeeping (arena [`Node`] and [`Meta`] entries plus chain entry) and
+/// the payloads it
+/// retains (tuple/set spines, a set's tree-order cache whether or not a
+/// comparison fills it, string bytes, the cached oid slice).
 fn node_heap_bytes(node: &Node, oids: &[Oid]) -> usize {
     use std::mem::size_of;
     let payload = match node {
         Node::Const(Constant::Str(s)) => s.len(),
         Node::Const(_) | Node::Oid(_) => 0,
         Node::Tuple(fields) => fields.len() * size_of::<(AttrName, ValueId)>(),
-        Node::Set(elems) => elems.len() * size_of::<ValueId>(),
+        Node::Set(elems) => 2 * elems.len() * size_of::<ValueId>(),
     };
-    size_of::<Meta>() + size_of::<(Node, ValueId)>() + payload + std::mem::size_of_val(oids)
+    size_of::<Node>() + size_of::<Meta>() + CHAIN_BYTES + payload + std::mem::size_of_val(oids)
 }
 
 /// Read access to interned nodes and their metadata — implemented by both
@@ -107,8 +130,14 @@ fn node_heap_bytes(node: &Node, oids: &[Oid]) -> usize {
 pub trait ValueReader {
     /// The node behind `id`. Panics on a foreign id.
     fn node(&self, id: ValueId) -> &Node;
+
+    /// The cached facts of the node behind `id`. Panics on a foreign id.
+    fn meta(&self, id: ValueId) -> &Meta;
+
     /// The sorted, distinct oids of the subtree behind `id`.
-    fn oids(&self, id: ValueId) -> &[Oid];
+    fn oids(&self, id: ValueId) -> &[Oid] {
+        &self.meta(id).oids
+    }
 
     /// Does the subtree behind `id` mention any oid?
     fn contains_oids(&self, id: ValueId) -> bool {
@@ -166,8 +195,7 @@ pub trait ValueReader {
     /// This order is id-numbering-independent, so two stores that interned
     /// the same values in different orders still agree on it — the property
     /// the evaluator's canonical merge order rests on.
-    fn cmp_resolved(&self, a: ValueId, b: ValueId) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
+    fn cmp_resolved(&self, a: ValueId, b: ValueId) -> Ordering {
         if a == b {
             return Ordering::Equal;
         }
@@ -197,12 +225,9 @@ pub trait ValueReader {
                 xs.len().cmp(&ys.len())
             }
             // BTreeSet's Ord: lexicographic over elements in ascending tree
-            // order. Set nodes are sorted by id, so re-sort structurally.
-            (Node::Set(xs), Node::Set(ys)) => {
-                let mut xs: Vec<ValueId> = xs.to_vec();
-                let mut ys: Vec<ValueId> = ys.to_vec();
-                xs.sort_by(|&p, &q| self.cmp_resolved(p, q));
-                ys.sort_by(|&p, &q| self.cmp_resolved(p, q));
+            // order, which each set node caches.
+            (Node::Set(_), Node::Set(_)) => {
+                let (xs, ys) = (tree_order(self, a), tree_order(self, b));
                 for (&p, &q) in xs.iter().zip(ys.iter()) {
                     let o = self.cmp_resolved(p, q);
                     if o != Ordering::Equal {
@@ -216,18 +241,50 @@ pub trait ValueReader {
     }
 }
 
-/// Write access: interning new values. Everything goes through the four
-/// canonical constructors, which maintain the [`Node`] invariants.
+/// The elements of set node `id` in resolved-tree order, sorted on the
+/// first call and cached in its [`Meta`]. Sorting compares only elements,
+/// which sit strictly below `id`, so filling one cache never waits on
+/// itself.
+fn tree_order<R: ValueReader + ?Sized>(r: &R, id: ValueId) -> &[ValueId] {
+    r.meta(id).tree_order.get_or_init(|| {
+        let mut elems = r.as_set(id).expect("a set node").to_vec();
+        elems.sort_by(|&p, &q| r.cmp_resolved(p, q));
+        elems.into()
+    })
+}
+
+/// Write access: interning new values. Every node goes through
+/// [`ValueInterner::insert_node`]; the canonical constructors build nodes
+/// that keep the [`Node`] invariants.
 pub trait ValueInterner: ValueReader {
+    /// Interns `node`, which must be canonical (see [`Node`]), and returns
+    /// its id: the id it already has, if interned, else a fresh one. Prefer
+    /// the constructors below, which canonicalize.
+    fn insert_node(&mut self, node: Node) -> ValueId;
+
     /// Interns a constant leaf.
-    fn const_id(&mut self, c: Constant) -> ValueId;
+    fn const_id(&mut self, c: Constant) -> ValueId {
+        self.insert_node(Node::Const(c))
+    }
+
     /// Interns an oid leaf.
-    fn oid_id(&mut self, o: Oid) -> ValueId;
+    fn oid_id(&mut self, o: Oid) -> ValueId {
+        self.insert_node(Node::Oid(o))
+    }
+
     /// Interns a tuple node; `fields` may arrive in any attribute order but
     /// must have distinct attributes.
-    fn tuple_id(&mut self, fields: Vec<(AttrName, ValueId)>) -> ValueId;
+    fn tuple_id(&mut self, mut fields: Vec<(AttrName, ValueId)>) -> ValueId {
+        fields.sort_by_key(|f| f.0);
+        self.insert_node(Node::Tuple(Arc::from(fields)))
+    }
+
     /// Interns a set node; `elems` may arrive unsorted and with duplicates.
-    fn set_id(&mut self, elems: Vec<ValueId>) -> ValueId;
+    fn set_id(&mut self, mut elems: Vec<ValueId>) -> ValueId {
+        elems.sort_unstable();
+        elems.dedup();
+        self.insert_node(Node::Set(Arc::from(elems)))
+    }
 
     /// Interns a whole o-value tree.
     fn intern(&mut self, v: &OValue) -> ValueId {
@@ -250,13 +307,19 @@ pub trait ValueInterner: ValueReader {
 }
 
 /// One append-only run of interned nodes, holding ids `start..end()`. A
-/// layer only ever stacks on a frozen base that holds every id below
+/// layer only ever stacks on frozen layers that hold every id below
 /// `start`, so absolute ids stay dense across the stack.
+///
+/// Nodes and their [`Meta`]s sit in two parallel arenas, so reading a node
+/// (a Datalog tuple's constants, a pattern match) streams through nodes
+/// only.
 #[derive(Clone)]
 struct Layer {
     start: u32,
-    entries: Vec<Meta>,
-    map: HashMap<Node, ValueId>,
+    nodes: Vec<Node>,
+    metas: Vec<Meta>,
+    /// The positions of `nodes`, chained by node hash.
+    chains: HashChains,
     /// Running heap-byte estimate of this layer's nodes (see
     /// [`ValueStore::heap_bytes`]).
     heap_bytes: usize,
@@ -266,85 +329,91 @@ impl Layer {
     fn at(start: u32) -> Layer {
         Layer {
             start,
-            entries: Vec::new(),
-            map: HashMap::new(),
+            nodes: Vec::new(),
+            metas: Vec::new(),
+            chains: HashChains::default(),
             heap_bytes: 0,
         }
     }
 
     fn end(&self) -> u32 {
         self.start
-            .checked_add(u32::try_from(self.entries.len()).expect("value store exhausted"))
+            .checked_add(u32::try_from(self.nodes.len()).expect("value store exhausted"))
             .expect("value store exhausted (2^32 nodes)")
     }
 
-    fn get(&self, id: ValueId) -> &Meta {
-        &self.entries[(id.0 - self.start) as usize]
+    fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
     }
 
-    /// Appends a node known to be absent from the whole stack.
-    fn push(&mut self, node: Node, meta: Meta) -> ValueId {
+    #[inline]
+    fn node(&self, id: ValueId) -> &Node {
+        &self.nodes[(id.0 - self.start) as usize]
+    }
+
+    #[inline]
+    fn meta(&self, id: ValueId) -> &Meta {
+        &self.metas[(id.0 - self.start) as usize]
+    }
+
+    /// The id of `node`, whose hash is `h`, if this layer holds it.
+    fn find(&self, h: u64, node: &Node) -> Option<ValueId> {
+        self.chains
+            .find(h, |pos| self.nodes[pos as usize] == *node)
+            .map(|pos| ValueId(self.start + pos))
+    }
+
+    /// Appends `node`, whose hash is `h` and whose facts are `meta`, known
+    /// to be absent from the whole stack.
+    fn push(&mut self, h: u64, node: Node, meta: Meta) -> ValueId {
         let id = ValueId(self.end());
         self.heap_bytes += node_heap_bytes(&node, &meta.oids);
-        self.entries.push(meta);
-        self.map.insert(node, id);
+        self.chains.push(h);
+        self.nodes.push(node);
+        self.metas.push(meta);
         id
     }
 }
 
-/// A frozen lower level a [`Layer`] can stack on: the root layer of a
-/// [`ValueStore`], or a whole borrowed store under an [`Overlay`].
-trait Base {
-    fn meta(&self, id: ValueId) -> &Meta;
-    fn find(&self, node: &Node) -> Option<ValueId>;
-}
+/// A stack of layers, lowest first, each starting where the ones below it
+/// end — the one place the layered resolution lives. Lookups try the
+/// lowest layer first, so a value a lower layer already holds always
+/// resolves to its lower id.
+struct Stacked<'s, const N: usize>([&'s Layer; N]);
 
-impl Base for Layer {
-    fn meta(&self, id: ValueId) -> &Meta {
-        self.get(id)
+impl<'s, const N: usize> Stacked<'s, N> {
+    /// The layer holding `id`.
+    #[inline]
+    fn layer(&self, id: ValueId) -> &'s Layer {
+        let layer = self.0.iter().rev().find(|l| l.start <= id.0);
+        layer.expect("the lowest layer starts at id 0")
     }
 
-    fn find(&self, node: &Node) -> Option<ValueId> {
-        self.map.get(node).copied()
-    }
-}
-
-/// A frozen base plus the layer interned on top of it — the one place the
-/// base-then-top resolution lives. Lookups hit the base first, so a value
-/// the base already holds always resolves to its base id.
-struct Stacked<'s, B> {
-    base: &'s B,
-    top: &'s Layer,
-}
-
-impl<'s, B: Base> Stacked<'s, B> {
-    fn meta(&self, id: ValueId) -> &'s Meta {
-        if id.0 < self.top.start {
-            self.base.meta(id)
-        } else {
-            self.top.get(id)
-        }
+    fn find(&self, h: u64, node: &Node) -> Option<ValueId> {
+        self.0.iter().find_map(|layer| layer.find(h, node))
     }
 
-    fn find(&self, node: &Node) -> Option<ValueId> {
-        self.base
-            .find(node)
-            .or_else(|| self.top.map.get(node).copied())
-    }
-
-    fn compute_meta(&self, node: Node, empty_oids: &Arc<[Oid]>) -> Meta {
-        let (oids, has_consts, depth, size) = match &node {
+    fn compute_meta(&self, node: &Node, empty_oids: &Arc<[Oid]>) -> Meta {
+        debug_assert!(
+            match node {
+                Node::Tuple(fields) => fields.windows(2).all(|w| w[0].0 < w[1].0),
+                Node::Set(elems) => elems.windows(2).all(|w| w[0] < w[1]),
+                Node::Const(_) | Node::Oid(_) => true,
+            },
+            "tuple attributes and set elements must be strictly sorted"
+        );
+        let (oids, has_consts, depth, size) = match node {
             Node::Const(_) => (Arc::clone(empty_oids), true, 1, 1),
             Node::Oid(o) => (Arc::from([*o]), false, 1, 1),
             Node::Tuple(fields) => self.combine_meta(fields.iter().map(|(_, v)| *v), empty_oids),
             Node::Set(elems) => self.combine_meta(elems.iter().copied(), empty_oids),
         };
         Meta {
-            node,
             oids,
             has_consts,
             depth,
             size,
+            tree_order: OnceLock::new(),
         }
     }
 
@@ -360,7 +429,7 @@ impl<'s, B: Base> Stacked<'s, B> {
         let mut depth = 0u32;
         let mut size = 1u32;
         for child in children {
-            let m = self.meta(child);
+            let m = self.layer(child).meta(child);
             has_consts |= m.has_consts;
             depth = depth.max(m.depth);
             size = size.saturating_add(m.size);
@@ -398,9 +467,12 @@ impl<'s, B: Base> Stacked<'s, B> {
 /// a new top over the current contents in O(1), so a forked store never
 /// copies its parent's arena; cloning shares both layers and copies the top
 /// only on the first write to either side. Lookups are at most one level
-/// deep (root, then top) — a fork flattens rather than chains.
+/// deep (root, then top) — a fork flattens rather than chains — and hash
+/// the node once for both.
 #[derive(Clone)]
 pub struct ValueStore {
+    /// Hashes nodes for every layer; forks and overlays share it.
+    hasher: RandomState,
     root: Arc<Layer>,
     top: Arc<Layer>,
     empty_oids: Arc<[Oid]>,
@@ -412,31 +484,20 @@ impl Default for ValueStore {
     }
 }
 
-impl Base for ValueStore {
-    fn meta(&self, id: ValueId) -> &Meta {
-        self.stacked().meta(id)
-    }
-
-    fn find(&self, node: &Node) -> Option<ValueId> {
-        self.stacked().find(node)
-    }
-}
-
 impl ValueStore {
     /// An empty store.
     pub fn new() -> ValueStore {
         ValueStore {
+            hasher: RandomState::new(),
             root: Arc::new(Layer::at(0)),
             top: Arc::new(Layer::at(0)),
             empty_oids: Arc::from([]),
         }
     }
 
-    fn stacked(&self) -> Stacked<'_, Layer> {
-        Stacked {
-            base: &self.root,
-            top: &self.top,
-        }
+    #[inline]
+    fn stacked(&self) -> Stacked<'_, 2> {
+        Stacked([&self.root, &self.top])
     }
 
     /// A store holding exactly this store's nodes, under the same ids, that
@@ -445,19 +506,19 @@ impl ValueStore {
     /// that was never forked becomes the fork's root as is); otherwise the
     /// two layers are flattened into one new root, so lookups never chain.
     pub fn fork(&self) -> ValueStore {
-        let root = if self.top.entries.is_empty() {
+        let root = if self.top.is_empty() {
             Arc::clone(&self.root)
-        } else if self.root.entries.is_empty() {
+        } else if self.root.is_empty() {
             Arc::clone(&self.top)
         } else {
             let mut flat = (*self.root).clone();
-            flat.entries.extend(self.top.entries.iter().cloned());
-            flat.map
-                .extend(self.top.map.iter().map(|(n, id)| (n.clone(), *id)));
-            flat.heap_bytes += self.top.heap_bytes;
+            for (node, meta) in self.top.nodes.iter().zip(&self.top.metas) {
+                flat.push(self.hasher.hash_one(node), node.clone(), meta.clone());
+            }
             Arc::new(flat)
         };
         ValueStore {
+            hasher: self.hasher.clone(),
             top: Arc::new(Layer::at(root.end())),
             root,
             empty_oids: Arc::clone(&self.empty_oids),
@@ -470,7 +531,7 @@ impl ValueStore {
     pub(crate) fn shares_nodes_with(&self, other: &ValueStore) -> bool {
         [&self.root, &self.top]
             .into_iter()
-            .filter(|layer| !layer.entries.is_empty())
+            .filter(|layer| !layer.is_empty())
             .all(|layer| Arc::ptr_eq(layer, &other.root) || Arc::ptr_eq(layer, &other.top))
     }
 
@@ -480,11 +541,11 @@ impl ValueStore {
     }
 
     /// Approximate heap bytes retained by the arena, the shared root
-    /// included: per-node bookkeeping (arena entry plus hash-map key) and
-    /// the owned payloads (tuple/set spines, string constants, cached oid
-    /// slices). Shared `Arc` payloads are counted per referencing node, so
-    /// this over- rather than under-estimates — the safe direction for a
-    /// memory budget. Monotone (the arena is append-only), so it doubles as
+    /// included: per-node bookkeeping (arena entry plus chain entry) and
+    /// the owned payloads (tuple/set spines and a set's tree-order cache,
+    /// string constants, cached oid slices). Shared `Arc` payloads are
+    /// counted per referencing node, so this over- rather than
+    /// under-estimates — the safe direction for a memory budget. Monotone (the arena is append-only), so it doubles as
     /// a high-water mark for memory governance.
     pub fn heap_bytes(&self) -> usize {
         self.root.heap_bytes + self.top.heap_bytes
@@ -497,7 +558,7 @@ impl ValueStore {
 
     /// The id of an already-interned canonical node, if present.
     pub fn lookup(&self, node: &Node) -> Option<ValueId> {
-        self.find(node)
+        self.stacked().find(self.hasher.hash_one(node), node)
     }
 
     /// Height of the tree behind `id`.
@@ -515,12 +576,14 @@ impl ValueStore {
         self.meta(id).has_consts
     }
 
-    fn insert_node(&mut self, node: Node) -> ValueId {
-        if let Some(id) = self.find(&node) {
+    /// Interns `node` as if its hash were `h` — the seam that lets tests
+    /// force hash collisions.
+    fn insert_hashed(&mut self, node: Node, h: u64) -> ValueId {
+        if let Some(id) = self.stacked().find(h, &node) {
             return id;
         }
-        let meta = self.stacked().compute_meta(node.clone(), &self.empty_oids);
-        Arc::make_mut(&mut self.top).push(node, meta)
+        let meta = self.stacked().compute_meta(&node, &self.empty_oids);
+        Arc::make_mut(&mut self.top).push(h, node, meta)
     }
 
     /// Replays a worker [`OverlayLog`] into this store, in the overlay's
@@ -587,7 +650,7 @@ impl ValueStore {
             memo.insert(id, id);
             return id;
         }
-        let out = match self.meta(id).node.clone() {
+        let out = match self.node(id).clone() {
             Node::Const(_) => id,
             Node::Oid(o) => {
                 let renamed = *map.get(&o).unwrap_or(&o);
@@ -642,7 +705,7 @@ impl ValueStore {
             memo.insert(id, id);
             return id;
         }
-        let out = match self.meta(id).node.clone() {
+        let out = match self.node(id).clone() {
             Node::Const(c) => match map.get(&c) {
                 Some(renamed) => self.const_id(renamed.clone()),
                 None => id,
@@ -674,38 +737,25 @@ impl fmt::Debug for ValueStore {
     }
 }
 
+// The read path is `#[inline]` down to the arena index, so it inlines
+// across crates: a Datalog view resolves every constant it reads through
+// `node`.
 impl ValueReader for ValueStore {
+    #[inline]
     fn node(&self, id: ValueId) -> &Node {
-        &self.meta(id).node
+        self.stacked().layer(id).node(id)
     }
 
-    fn oids(&self, id: ValueId) -> &[Oid] {
-        &self.meta(id).oids
+    #[inline]
+    fn meta(&self, id: ValueId) -> &Meta {
+        self.stacked().layer(id).meta(id)
     }
 }
 
 impl ValueInterner for ValueStore {
-    fn const_id(&mut self, c: Constant) -> ValueId {
-        self.insert_node(Node::Const(c))
-    }
-
-    fn oid_id(&mut self, o: Oid) -> ValueId {
-        self.insert_node(Node::Oid(o))
-    }
-
-    fn tuple_id(&mut self, mut fields: Vec<(AttrName, ValueId)>) -> ValueId {
-        fields.sort_by_key(|f| f.0);
-        debug_assert!(
-            fields.windows(2).all(|w| w[0].0 < w[1].0),
-            "tuple attributes must be distinct"
-        );
-        self.insert_node(Node::Tuple(Arc::from(fields)))
-    }
-
-    fn set_id(&mut self, mut elems: Vec<ValueId>) -> ValueId {
-        elems.sort_unstable();
-        elems.dedup();
-        self.insert_node(Node::Set(Arc::from(elems)))
+    fn insert_node(&mut self, node: Node) -> ValueId {
+        let h = self.hasher.hash_one(&node);
+        self.insert_hashed(node, h)
     }
 }
 
@@ -757,11 +807,8 @@ impl<'a> Overlay<'a> {
         }
     }
 
-    fn stacked(&self) -> Stacked<'_, ValueStore> {
-        Stacked {
-            base: self.base,
-            top: &self.local,
-        }
+    fn stacked(&self) -> Stacked<'_, 3> {
+        Stacked([&self.base.root, &self.base.top, &self.local])
     }
 
     /// Total nodes visible (base + local).
@@ -778,18 +825,8 @@ impl<'a> Overlay<'a> {
     pub fn into_log(self) -> OverlayLog {
         OverlayLog {
             base_len: self.local.start,
-            nodes: self.local.entries.into_iter().map(|m| m.node).collect(),
+            nodes: self.local.nodes,
         }
-    }
-
-    fn insert_node(&mut self, node: Node) -> ValueId {
-        if let Some(id) = self.stacked().find(&node) {
-            return id;
-        }
-        let meta = self
-            .stacked()
-            .compute_meta(node.clone(), &self.base.empty_oids);
-        self.local.push(node, meta)
     }
 }
 
@@ -799,43 +836,29 @@ impl fmt::Debug for Overlay<'_> {
             f,
             "Overlay({} base + {} local nodes)",
             self.local.start,
-            self.local.entries.len()
+            self.local.nodes.len()
         )
     }
 }
 
 impl ValueReader for Overlay<'_> {
     fn node(&self, id: ValueId) -> &Node {
-        &self.stacked().meta(id).node
+        self.stacked().layer(id).node(id)
     }
 
-    fn oids(&self, id: ValueId) -> &[Oid] {
-        &self.stacked().meta(id).oids
+    fn meta(&self, id: ValueId) -> &Meta {
+        self.stacked().layer(id).meta(id)
     }
 }
 
 impl ValueInterner for Overlay<'_> {
-    fn const_id(&mut self, c: Constant) -> ValueId {
-        self.insert_node(Node::Const(c))
-    }
-
-    fn oid_id(&mut self, o: Oid) -> ValueId {
-        self.insert_node(Node::Oid(o))
-    }
-
-    fn tuple_id(&mut self, mut fields: Vec<(AttrName, ValueId)>) -> ValueId {
-        fields.sort_by_key(|f| f.0);
-        debug_assert!(
-            fields.windows(2).all(|w| w[0].0 < w[1].0),
-            "tuple attributes must be distinct"
-        );
-        self.insert_node(Node::Tuple(Arc::from(fields)))
-    }
-
-    fn set_id(&mut self, mut elems: Vec<ValueId>) -> ValueId {
-        elems.sort_unstable();
-        elems.dedup();
-        self.insert_node(Node::Set(Arc::from(elems)))
+    fn insert_node(&mut self, node: Node) -> ValueId {
+        let h = self.base.hasher.hash_one(&node);
+        if let Some(id) = self.stacked().find(h, &node) {
+            return id;
+        }
+        let meta = self.stacked().compute_meta(&node, &self.base.empty_oids);
+        self.local.push(h, node, meta)
     }
 }
 
@@ -1087,6 +1110,57 @@ mod tests {
     }
 
     #[test]
+    fn constants_intern_and_resolve() {
+        let mut s = ValueStore::new();
+        let a = s.const_id(Constant::int(1));
+        let b = s.const_id(Constant::int(2));
+        assert_ne!(a, b);
+        assert_eq!(s.const_id(Constant::int(1)), a, "re-interning is stable");
+        assert_eq!(s.node(a), &Node::Const(Constant::int(1)));
+        assert_eq!(s.node(b), &Node::Const(Constant::int(2)));
+        assert_eq!(s.lookup(&Node::Const(Constant::int(3))), None);
+        assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn forced_hash_collisions_never_merge_nodes() {
+        let mut s = ValueStore::new();
+        // Leaves and the composites built over them, every one chained
+        // under the same hash.
+        let mut nodes: Vec<Node> = (0..4).map(|n| Node::Const(Constant::int(n))).collect();
+        nodes.push(Node::Oid(o(1)));
+        let leaves: Vec<ValueId> = nodes
+            .iter()
+            .map(|n| s.insert_hashed(n.clone(), 7))
+            .collect();
+        nodes.push(Node::Set(Arc::from(&leaves[..2])));
+        nodes.push(Node::Set(Arc::from(&leaves[1..3])));
+        nodes.push(Node::Tuple(Arc::from([(AttrName::new("a"), leaves[0])])));
+        nodes.push(Node::Tuple(Arc::from([(AttrName::new("b"), leaves[0])])));
+        let mut ids: Vec<ValueId> = leaves;
+        ids.extend(nodes[5..].iter().map(|n| s.insert_hashed(n.clone(), 7)));
+        assert_eq!(
+            ids.iter().map(|id| id.raw()).collect::<Vec<_>>(),
+            (0..9).collect::<Vec<_>>(),
+            "every node is new"
+        );
+        // A fork chains its top under the same hash: true duplicates are
+        // found in either layer, and the new nodes stay apart.
+        let mut fork = s.fork();
+        let top = fork.insert_hashed(Node::Const(Constant::int(4)), 7);
+        assert_eq!(top.raw(), 9);
+        nodes.push(Node::Const(Constant::int(4)));
+        ids.push(top);
+        for (node, &id) in nodes.iter().zip(&ids) {
+            assert_eq!(fork.insert_hashed(node.clone(), 7), id, "duplicate found");
+            assert_eq!(fork.stacked().find(7, node), Some(id));
+            assert_eq!(fork.node(id), node);
+            assert_eq!(fork.stacked().find(8, node), None, "another hash misses");
+        }
+        assert_eq!(fork.len(), 10);
+    }
+
+    #[test]
     fn fork_of_a_fork_flattens_to_one_root() {
         let mut base = ValueStore::new();
         let a = base.intern(&sample());
@@ -1095,16 +1169,21 @@ mod tests {
         let leaf = mid.fork();
         // Root and top both populated: the new root holds both, so lookups
         // stay one level deep.
-        assert_eq!(leaf.top.entries.len(), 0);
+        assert!(leaf.top.is_empty());
         assert_eq!(leaf.root.end() as usize, mid.len());
         assert_eq!(leaf.heap_bytes(), mid.heap_bytes());
         for id in [a, b] {
             assert_eq!(leaf.resolve(id), mid.resolve(id));
             assert_eq!(leaf.lookup(mid.node(id)), Some(id));
         }
-        // A fork of a fork with nothing new on top shares the root as is.
-        let again = leaf.fork();
+        // A fork of a fork with nothing new on top shares the root as is,
+        // and numbers new nodes above the flattened root.
+        let mut again = leaf.fork();
         assert!(leaf.shares_nodes_with(&again));
+        let c = again.intern(&OValue::str("again"));
+        assert_eq!(c.raw() as usize, mid.len());
+        assert_eq!(again.intern(&sample()), a, "root hit after the flatten");
+        assert_eq!(leaf.lookup(again.node(c)), None);
     }
 
     #[test]

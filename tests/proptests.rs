@@ -855,6 +855,42 @@ fn cached_oid_metadata_is_exact() {
     });
 }
 
+/// `cmp_resolved` orders interned values exactly as their trees order
+/// (`OValue`'s derived `Ord`), read through a store, a fork of it and an
+/// overlay over the fork. Sets of sets and tuples holding sets are built
+/// from elements interned in random order, so a set's id order and its
+/// tree order differ, and comparing them fills the cached tree order of
+/// set nodes in every layer.
+#[test]
+fn cmp_resolved_matches_tree_order() {
+    check("cmp_resolved_matches_tree_order", 64, |rng| {
+        use iql::model::{Overlay, ValueId, ValueInterner, ValueReader, ValueStore};
+        let mut values: Vec<OValue> = (0..4).map(|_| ovalue_with_oids(rng)).collect();
+        let nested = OValue::set(values.iter().take(rng.range(1..4)).cloned());
+        values.push(OValue::set([nested.clone(), values[3].clone()]));
+        values.push(OValue::tuple([("s", nested), ("t", values[0].clone())]));
+        shuffle(rng, &mut values);
+        let mut store = ValueStore::new();
+        let mut ids: Vec<ValueId> = values[..2].iter().map(|v| store.intern(v)).collect();
+        let mut fork = store.fork();
+        ids.extend(values[2..4].iter().map(|v| fork.intern(v)));
+        let mut overlay = Overlay::new(&fork);
+        ids.extend(values[4..].iter().map(|v| overlay.intern(v)));
+        for (i, (&a, va)) in ids.iter().zip(&values).enumerate() {
+            for (j, (&b, vb)) in ids.iter().zip(&values).enumerate() {
+                let want = va.cmp(vb);
+                assert_eq!(overlay.cmp_resolved(a, b), want, "{va} vs {vb}");
+                if i.max(j) < 4 {
+                    assert_eq!(fork.cmp_resolved(a, b), want, "fork: {va} vs {vb}");
+                }
+                if i.max(j) < 2 {
+                    assert_eq!(store.cmp_resolved(a, b), want, "store: {va} vs {vb}");
+                }
+            }
+        }
+    });
+}
+
 // ---------------------------------------------------------------------
 // Resource governor: tight budgets never panic, abort deterministically
 // (12 cases each)

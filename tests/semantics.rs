@@ -531,6 +531,53 @@ fn head_terms_read_the_pre_step_instance_in_any_rule_order() {
 }
 
 #[test]
+fn a_set_gaining_k_members_in_one_step_interns_one_set_node() {
+    // Step 1 of the second stage adds all k values of A to c's set. The
+    // store grows by the same nodes whatever k is — c's oid, its empty
+    // default set, Has(c)'s tuple and one new set node — because the k
+    // members are written as one set, not as k growing ones.
+    let growth = |k: usize, cfg: &EvalConfig| {
+        let facts: String = (0..k).map(|i| format!("A(\"v{i}\"); ")).collect();
+        let src = format!(
+            r#"
+            schema {{
+              relation A: [v: D];
+              relation Has: [c: C];
+              class C: {{D}};
+            }}
+            program {{
+              input A;
+              output C;
+              stage {{ Has(c) :- A("v0"); }}
+              stage {{ c^(x) :- Has(c), A(x); }}
+            }}
+            instance {{ {facts} }}
+            "#
+        );
+        let unit = parse_unit(&src).unwrap();
+        let (prog, input) = (unit.program.unwrap(), unit.instance.unwrap());
+        let out = run(&prog, &input, cfg).unwrap();
+        let c = *out
+            .output
+            .class(ClassName::new("C"))
+            .unwrap()
+            .first()
+            .unwrap();
+        let want = OValue::set((0..k).map(|i| OValue::str(&format!("v{i}"))));
+        assert_eq!(out.output.value(c), Some(&want), "k={k} {cfg:?}");
+        assert_eq!(out.report.facts_added, k + 1, "Has(c) and k members");
+        out.full.store().len() - input.store().len()
+    };
+    for cfg in arms() {
+        let one = growth(1, &cfg);
+        assert_eq!(one, 4, "{cfg:?}");
+        for k in [2, 8, 40] {
+            assert_eq!(growth(k, &cfg), one, "k={k} {cfg:?}");
+        }
+    }
+}
+
+#[test]
 fn a_fired_deletion_deletes_the_fact_its_guard_saw() {
     // `del Out(c^)` fires in the step that fills c's set, because Out({})
     // holds before it; the fact deleted is that one, not Out(c^) read after
