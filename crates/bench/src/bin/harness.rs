@@ -1232,6 +1232,71 @@ fn e19_value_representation() {
             cells: vec![("dl-load".into(), t_load.as_secs_f64(), Some(size))],
         });
     }
+    // Rung 5: a fork plus one write over a loaded relation of n
+    // two-column tuples — what a writer publishing a new version of a
+    // dataset pays. IQL forks through `Instance::fork`, Datalog through
+    // `Database::clone`; the time includes dropping the fork.
+    let mut write = Vec::new();
+    for n in [10_000usize, 100_000, 400_000] {
+        let side = (n as f64).sqrt().ceil() as usize;
+        let names: Vec<String> = (0..side).map(|k| format!("node{k}")).collect();
+        let pair = |i: usize| (names[i % side].as_str(), names[i / side].as_str());
+        let schema = Arc::new(
+            iql_model::SchemaBuilder::new()
+                .relation(
+                    "Edge",
+                    TypeExpr::tuple([("src", TypeExpr::base()), ("dst", TypeExpr::base())]),
+                )
+                .build()
+                .expect("edge schema"),
+        );
+        let edge = RelName::new("Edge");
+        let tuple = |(s, d): (&str, &str)| {
+            OValue::tuple([("src", OValue::str(s)), ("dst", OValue::str(d))])
+        };
+        let mut inst = Instance::new(Arc::clone(&schema));
+        let mut db = iql_datalog::Database::new();
+        for i in 0..n {
+            inst.insert(edge, tuple(pair(i))).expect("typed edge");
+            let (s, d) = pair(i);
+            let t = vec![iql_model::Constant::str(s), iql_model::Constant::str(d)];
+            db.insert("Edge", t).expect("one arity");
+        }
+        let (iql_size, t_iql) = best_of(RUNS, || {
+            let mut fork = inst.fork(&schema).expect("same schema");
+            fork.insert(edge, tuple(("node0", "fresh")))
+                .expect("typed edge");
+            let size = fork.relation_ids(edge).expect("edge").len();
+            size
+        });
+        let (dl_size, t_dl) = best_of(RUNS, || {
+            let mut fork = db.clone();
+            let t = vec![
+                iql_model::Constant::str("node0"),
+                iql_model::Constant::str("fresh"),
+            ];
+            fork.insert("Edge", t).expect("one arity");
+            fork.size()
+        });
+        assert_eq!(
+            (iql_size, dl_size),
+            (n + 1, n + 1),
+            "each fork gained one tuple"
+        );
+        assert_eq!(
+            inst.relation_ids(edge).expect("edge").len(),
+            n,
+            "the parent is untouched"
+        );
+        assert_eq!(db.size(), n, "the parent is untouched");
+        write.push(Row {
+            n,
+            cells: vec![
+                ("iql-fork+write".into(), t_iql.as_secs_f64(), Some(iql_size)),
+                ("dl-clone+write".into(), t_dl.as_secs_f64(), Some(dl_size)),
+            ],
+        });
+    }
     print_table(
         "build+dedup and sort of n flat tuples (best of 5); counts = distinct values",
         &ladder,
@@ -1243,6 +1308,10 @@ fn e19_value_representation() {
     print_table(
         "load n two-column string tuples into a Datalog database (best of 5); counts = Database::size()",
         &load,
+    );
+    print_table(
+        "fork a loaded relation of n two-column tuples and insert one (best of 5); counts = the fork's size",
+        &write,
     );
     println!("shape check: identical dedup, equality and probe results in every representation;");
     println!("  id equality and id join probes beat their tree counterparts by a wide margin");

@@ -108,7 +108,7 @@ pub fn make_copies(original: &Instance, k: usize) -> Result<Instance> {
         }
         let store = original.store();
         for r in original.schema().relations() {
-            for &id in original.relation_ids(r)? {
+            for id in original.relation_ids(r)? {
                 out.insert_unchecked(r, store.resolve(id).rename_oids(&map))?;
             }
         }
@@ -130,7 +130,7 @@ fn blocks(with_copies: &Instance) -> Result<Vec<BTreeSet<Oid>>> {
     let mut out = Vec::new();
     let bar = copies_relation_of(with_copies.schema())?;
     let store = with_copies.store();
-    for &id in with_copies.relation_ids(bar)? {
+    for id in with_copies.relation_ids(bar)? {
         let elems = store
             .as_set(id)
             .ok_or_else(|| IqlError::Invalid("R̄ must hold sets of oids".into()))?;
@@ -165,7 +165,7 @@ fn restrict_to_block(
         }
     }
     for r in schema.relations() {
-        for &id in with_copies.relation_ids(r)? {
+        for id in with_copies.relation_ids(r)? {
             if store.oids(id).iter().all(|o| block.contains(o)) {
                 out.insert_unchecked(r, store.resolve(id))?;
             }

@@ -29,7 +29,7 @@
 use crate::error::{IqlError, Result};
 use iql_model::{
     AttrName, ClassName, Constant, Instance, OValue, Oid, RelName, Schema, SchemaBuilder, TypeExpr,
-    ValueReader,
+    ValueId, ValueReader,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -161,10 +161,13 @@ pub fn encode(inst: &Instance) -> Result<Instance> {
             )?;
         }
     }
-    // ρ: relation facts.
+    // ρ: relation facts, in id order, so structure nodes are numbered
+    // independently of insertion order.
     let store = inst.store();
     for r in inst.schema().relations() {
-        for &id in inst.relation_ids(r)? {
+        let mut ids: Vec<ValueId> = inst.relation_ids(r)?.collect();
+        ids.sort_unstable();
+        for id in ids {
             let value = enc.enc(&store.resolve(id))?;
             enc.flat.insert_unchecked(
                 RelName::new("RelFact"),
@@ -193,13 +196,13 @@ pub fn encode(inst: &Instance) -> Result<Instance> {
 /// the original instance up to renaming of oids (tests pin exact equality
 /// of the relational parts and O-isomorphism overall).
 pub fn decode(flat: &Instance, schema: &Arc<Schema>) -> Result<Instance> {
+    // Facts in id order, so the decoded oids are numbered independently
+    // of insertion order.
     let get = |rel: &str| -> Result<Vec<OValue>> {
         let store = flat.store();
-        Ok(flat
-            .relation_ids(RelName::new(rel))?
-            .iter()
-            .map(|&id| store.resolve(id))
-            .collect())
+        let mut ids: Vec<ValueId> = flat.relation_ids(RelName::new(rel))?.collect();
+        ids.sort_unstable();
+        Ok(ids.into_iter().map(|id| store.resolve(id)).collect())
     };
     let field = |v: &OValue, a: &str| -> Result<OValue> {
         match v {

@@ -22,6 +22,12 @@
 //! the search and a flat row of body-slot ids afterwards, and the head term
 //! the guard evaluated travels with its fire to the apply phase.
 //!
+//! A relation scan walks the rows of the relation store both engines share
+//! ([`iql_model::IdRelation`]) in insertion order: a probe reads the
+//! incremental index of the probed attribute's column, and a semi-naive
+//! delta is the range of row positions each relation gained in the
+//! previous step, as in the Datalog engine.
+//!
 //! Stages (`;` composition) run each rule set to its inflationary fixpoint
 //! before the next starts. IQL\* deletion heads are applied at the end of
 //! each step with cascading oid deletion (Section 4.5); a fact both added
@@ -42,14 +48,14 @@ use crate::planner::{
 use iql_exec::{chunk_ranges, run_tasks};
 use iql_model::iso::orbits;
 use iql_model::{
-    AttrIndex, AttrName, ClassName, IdView, Instance, Node, Oid, Overlay, OverlayLog, TypeExpr,
-    ValueId, ValueInterner, ValueReader, ValueStore,
+    AttrName, ClassName, ColIndex, IdRelation, IdView, Instance, Node, Oid, Overlay, OverlayLog,
+    RelName, TypeExpr, ValueId, ValueInterner, ValueReader, ValueStore,
 };
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -81,8 +87,8 @@ pub struct EvalConfig {
     /// Cost-based join ordering: reorder body literals by estimated
     /// selectivity from the instance's cardinality statistics; off, bodies
     /// run in the syntactic order of the `explain` plan. Either order gets
-    /// the same statically chosen probes into the instance's persistent
-    /// secondary indexes. A pure optimization — outputs are bit-identical
+    /// the same statically chosen probes into the persistent column
+    /// indexes of the instance's relations. A pure optimization — outputs are bit-identical
     /// with the planner on or off (the merge phase canonicalizes fire order
     /// wherever it is observable). The ablation knob for the `eval_planner`
     /// benchmark; on by default.
@@ -125,10 +131,6 @@ pub struct EvalConfig {
     /// External cancellation token: flip it to `true` (e.g. from a Ctrl-C
     /// handler) and evaluation stops at the next poll point, mid-step.
     pub cancel_token: Option<Arc<AtomicBool>>,
-    /// Test hook: make the search task(s) of this rule index panic, to
-    /// exercise worker-panic containment. Not part of the stable API.
-    #[doc(hidden)]
-    pub test_panic_rule: Option<usize>,
 }
 
 impl Default for EvalConfig {
@@ -146,7 +148,6 @@ impl Default for EvalConfig {
             max_store_nodes: None,
             max_store_bytes: None,
             cancel_token: None,
-            test_panic_rule: None,
         }
     }
 }
@@ -249,13 +250,6 @@ impl EvalConfigBuilder {
         self
     }
 
-    /// Test hook: panic in the search task(s) of rule `ri`.
-    #[doc(hidden)]
-    pub fn test_panic_rule(mut self, ri: usize) -> Self {
-        self.cfg.test_panic_rule = Some(ri);
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> EvalConfig {
         self.cfg
@@ -302,11 +296,11 @@ pub struct EvalReport {
     /// Rule plans reused from the epoch-keyed plan cache (counted per rule
     /// per step on a hit).
     pub plans_cached: usize,
-    /// Scan probes answered by a persistent secondary index.
+    /// Scan probes answered by a relation's persistent column index.
     pub index_hits: usize,
-    /// Scan probes answered by a scan-local index built over the
-    /// materialized candidates: delta and chunk-restricted scans, and
-    /// full-extent scans whose persistent index is missing.
+    /// Scan probes answered by a one-off index built over the scanned
+    /// range of rows: delta and chunk-restricted scans, and whole-relation
+    /// scans whose persistent index is missing.
     pub index_misses: usize,
     /// Per-step wall-clock timings, in evaluation order. Timing varies run
     /// to run; compare [`EvalReport::counters`] when checking determinism.
@@ -418,10 +412,13 @@ pub fn run_governed(prog: &Program, input: &Instance, cfg: &EvalConfig) -> Resul
 
     // One governor for the whole run: the deadline clock spans all stages.
     let gov = governor_from_config(cfg);
+    let panic_rule = iql_exec::TEST_PANIC_RULE.get();
     let mut report = EvalReport::default();
     let mut trip: Option<AbortReason> = None;
     for stage in &prog.stages {
-        if let Some(reason) = run_stage_governed(stage, &mut work, cfg, &gov, &mut report)? {
+        if let Some(reason) =
+            run_stage_governed(stage, &mut work, cfg, &gov, panic_rule, &mut report)?
+        {
             trip = Some(reason);
             break;
         }
@@ -492,12 +489,14 @@ impl<'a> StageRules<'a> {
 /// `Ok(Some(reason))` on a resource trip with `work` left at the last
 /// consistent snapshot (the deterministic budgets are checked at step
 /// boundaries; an asynchronous mid-step trip discards the whole
-/// interrupted step).
+/// interrupted step). `panic_rule` is the run's
+/// [`iql_exec::TEST_PANIC_RULE`].
 fn run_stage_governed(
     stage: &Stage,
     work: &mut Instance,
     cfg: &EvalConfig,
     gov: &Governor,
+    panic_rule: usize,
     report: &mut EvalReport,
 ) -> Result<Option<AbortReason>> {
     let stage_idx = report.stages;
@@ -545,6 +544,7 @@ fn run_stage_governed(
             work,
             cfg,
             gov,
+            panic_rule,
             report,
             delta.as_ref(),
             plans,
@@ -618,11 +618,13 @@ enum StepOut {
 }
 
 /// The facts added by one step — what semi-naive evaluation joins against.
-/// Relation deltas are interned ids into the working instance's store: the
-/// store is append-only, so ids minted in step `n` stay valid in step `n+1`.
+/// A relation's delta is the range of row positions it gained in the
+/// step's merge: rows never move, and a stage that deletes evaluates no
+/// delta, so the range still holds exactly those facts in the next step.
 #[derive(Debug, Default, Clone)]
 struct Delta {
-    rels: BTreeMap<iql_model::RelName, BTreeSet<ValueId>>,
+    /// Non-empty ranges only.
+    ranges: BTreeMap<RelName, Range<u32>>,
     classes: BTreeMap<ClassName, BTreeSet<Oid>>,
 }
 
@@ -744,7 +746,7 @@ struct SearchOut {
 /// Per-task scan statistics, threaded through [`find_valuations_id`].
 #[derive(Default)]
 struct ScanCounters {
-    /// Probes answered by a persistent secondary index.
+    /// Probes answered by a relation's persistent column index.
     index_hits: usize,
     /// Probes answered by a scan-local index over the candidates.
     index_misses: usize,
@@ -754,16 +756,18 @@ struct ScanCounters {
 /// could draw? An empty source makes the whole delta-restricted run empty.
 fn delta_has_source(delta: &Delta, source: &PlanSource) -> bool {
     match source {
-        PlanSource::Rel(r) => delta.rels.get(r).is_some_and(|s| !s.is_empty()),
+        PlanSource::Rel(r) => delta.ranges.contains_key(r),
         PlanSource::Class(p) => delta.classes.get(p).is_some_and(|s| !s.is_empty()),
     }
 }
 
 /// [`run_search_task`] behind a panic barrier: a panic anywhere in the
-/// search (or injected via `cfg.test_panic_rule`) is contained here, on the
-/// worker's own stack, and surfaced as [`IqlError::WorkerPanic`] carrying
-/// the rule index — it never unwinds through the scoped pool, so sibling
-/// tasks finish normally and their results survive.
+/// search (or injected for rule `panic_rule`, the run's
+/// [`iql_exec::TEST_PANIC_RULE`]) is contained here, on the worker's own
+/// stack, and surfaced as [`IqlError::WorkerPanic`] carrying the rule
+/// index — it never unwinds through the scoped pool, so sibling tasks
+/// finish normally and their results survive.
+#[allow(clippy::too_many_arguments)]
 fn run_search_task_caught(
     task: &SearchTask,
     cr: &CompiledRule<'_>,
@@ -771,10 +775,11 @@ fn run_search_task_caught(
     work: &Instance,
     cfg: &EvalConfig,
     gov: &Governor,
+    panic_rule: usize,
     delta_in: Option<&Delta>,
 ) -> Result<SearchOut> {
     catch_unwind(AssertUnwindSafe(|| {
-        if cfg.test_panic_rule == Some(task.ri) {
+        if panic_rule == task.ri {
             panic!("injected panic for rule {} (test hook)", task.ri);
         }
         run_search_task(task, cr, plan, work, cfg, gov, delta_in)
@@ -920,6 +925,7 @@ fn one_step(
     work: &mut Instance,
     cfg: &EvalConfig,
     gov: &Governor,
+    panic_rule: usize,
     report: &mut EvalReport,
     delta_in: Option<&Delta>,
     plans: &[RulePlan<'_>],
@@ -999,7 +1005,7 @@ fn one_step(
     let frozen: &Instance = work;
     let results: Vec<Result<SearchOut>> = run_tasks(&tasks, nthreads, |t| {
         let cr = &stage.rules[t.ri];
-        run_search_task_caught(t, cr, &plans[t.ri], frozen, cfg, gov, delta_in)
+        run_search_task_caught(t, cr, &plans[t.ri], frozen, cfg, gov, panic_rule, delta_in)
     });
 
     // Deterministic merge of the search outputs: fixed rule order (tasks
@@ -1164,7 +1170,9 @@ fn one_step(
                 if work.insert_id(*r, v)? {
                     report.facts_added += 1;
                     changed = true;
-                    delta_out.rels.entry(*r).or_default().insert(v);
+                    // The step's inserts into `r` are consecutive rows.
+                    let end = work.relation_rows(*r)?.all().end;
+                    delta_out.ranges.entry(*r).or_insert(end - 1..end).end = end;
                 }
             }
             SHead::Class(..) => {
@@ -1354,7 +1362,7 @@ fn eval_term_id<I: ValueInterner>(
         STerm::Var(s) => regs[*s],
         STerm::Const(c) => Some(interner.const_id((*c).clone())),
         STerm::Rel(r) => {
-            let ids: Vec<ValueId> = view.relation_ids(*r).ok()?.iter().copied().collect();
+            let ids: Vec<ValueId> = view.relation_ids(*r).ok()?.collect();
             Some(interner.set_id(ids))
         }
         STerm::Class(p) => {
@@ -1666,20 +1674,22 @@ fn render_ops(ops: &[Op<'_>], out: &mut String) {
 ///
 /// When `delta` is `Some((d, i))`, the `i`-th relation/class scan of the
 /// plan draws from the delta instead of the full extent — the
-/// differentiated join of semi-naive evaluation. When `outer` is
-/// `Some((skip, take))`, the *first* plan op (a relation/class scan — the
-/// caller checks eligibility via [`outer_scan_len`]) iterates only that
-/// slice of its extent, in extent order — how one large rule is
-/// partitioned across parallel workers without perturbing valuation order.
+/// differentiated join of semi-naive evaluation; a relation's delta is a
+/// range of its row positions. When `outer` is `Some((skip, take))`, the
+/// *first* plan op (a relation/class scan — the caller checks eligibility
+/// via [`outer_scan_len`]) iterates only that slice of its extent, in
+/// extent order — how one large rule is partitioned across parallel
+/// workers without perturbing valuation order.
 ///
-/// A relation scan with a statically chosen probe looks each valuation's
-/// key up in one [`AttrIndex`]: the instance's *persistent* index for a
-/// full-extent scan (counted as `index_hits`), or one built over the
-/// materialized candidates for a delta or sliced scan, or when the
-/// persistent index is missing (`index_misses`). A scan without a probe
-/// matches every candidate. Such binding-independent [`OpState`] is built
-/// when the first valuation reaches its op, so an op that no valuation
-/// reaches reads nothing and raises no error.
+/// A relation scan walks a range of row positions, reading each row's
+/// fact id. With a statically chosen probe it looks each valuation's key
+/// up in one [`ColIndex`] on the probed attribute's column: the relation's
+/// *persistent* index for a whole-relation scan (counted as
+/// `index_hits`), or a one-off index over the delta's or slice's range, or
+/// over the whole relation when the persistent index is missing
+/// (`index_misses`). Such binding-independent [`OpState`] is built when
+/// the first valuation reaches its op, so an op that no valuation reaches
+/// reads nothing and raises no error.
 #[allow(clippy::too_many_arguments)]
 fn find_valuations_id(
     cr: &CompiledRule<'_>,
@@ -1732,10 +1742,15 @@ struct Search<'s, 'p, 'v> {
 
 /// What an op reads that does not depend on the valuation.
 enum OpState<'v> {
-    /// A relation scan with a probe: the index its keys are looked up in.
-    Probe(Cow<'v, AttrIndex>),
-    /// A relation scan without a probe, or an enumeration: the candidate
-    /// values, in order.
+    /// A relation scan: the relation's rows, the positions it reads, and
+    /// with a probe the probed pattern field and an index over exactly
+    /// those positions.
+    Rows {
+        rows: &'v IdRelation,
+        range: Range<u32>,
+        probe: Option<(usize, Cow<'v, ColIndex>)>,
+    },
+    /// An enumeration: the candidate values, in order.
     Values(Vec<ValueId>),
     /// A class scan: the candidate oids, in extent order.
     Oids(Vec<Oid>),
@@ -1770,9 +1785,9 @@ fn is_source_scan(op: &Op<'_>) -> bool {
     )
 }
 
-/// The candidates a scan iterates, in extent order: `source` (`None` is
+/// The oids a class scan iterates, in extent order: `source` (`None` is
 /// empty), cut to the `(skip, take)` slice of a parallel worker.
-fn scan_candidates<T: Copy>(source: Option<&BTreeSet<T>>, slice: Option<(usize, usize)>) -> Vec<T> {
+fn class_candidates(source: Option<&BTreeSet<Oid>>, slice: Option<(usize, usize)>) -> Vec<Oid> {
     let (skip, take) = slice.unwrap_or((0, usize::MAX));
     source
         .into_iter()
@@ -1821,38 +1836,32 @@ impl<'v> Search<'_, '_, 'v> {
         };
         let view = &self.view;
         match (op, state) {
-            (
-                Op::Scan {
-                    lit,
-                    probe: Some(probe),
-                    ..
-                },
-                OpState::Probe(index),
-            ) => {
-                if let Cow::Borrowed(_) = index {
-                    walk.counters.index_hits += 1;
-                } else {
-                    walk.counters.index_misses += 1;
-                }
+            (Op::Scan { lit, .. }, OpState::Rows { rows, range, probe }) => {
                 let (_, pat) = self.member(*lit);
-                let STerm::Tuple { fields, .. } = pat else {
-                    unreachable!("a probe reads a tuple pattern's field")
+                let key = match probe {
+                    Some((field, index)) => {
+                        if let Cow::Borrowed(_) = index {
+                            walk.counters.index_hits += 1;
+                        } else {
+                            walk.counters.index_misses += 1;
+                        }
+                        let STerm::Tuple { fields, .. } = pat else {
+                            unreachable!("a probe reads a tuple pattern's field")
+                        };
+                        // The probe term is fully bound under every
+                        // valuation (planner invariant); if it is
+                        // undefined, no fact can match. Postings walk in
+                        // position order, the order of a scan, so probing
+                        // never changes valuation order.
+                        match eval_term_id(&fields[*field].1, &regs.vals, view, ov) {
+                            Some(key) => Some((&**index, key)),
+                            None => return ControlFlow::Continue(()),
+                        }
+                    }
+                    None => None,
                 };
-                // The probe term is fully bound under every valuation
-                // (planner invariant); if it is undefined, no fact can
-                // match. Postings are id-ordered, matching candidate
-                // order, so probing never changes valuation order.
-                let Some(key) = eval_term_id(&fields[probe.field].1, &regs.vals, view, ov) else {
-                    return ControlFlow::Continue(());
-                };
-                for &fid in index.get(key) {
-                    self.each(i, pat, fid, regs, ov, walk)?;
-                }
-            }
-            (Op::Scan { lit, .. }, OpState::Values(facts)) => {
-                let (_, pat) = self.member(*lit);
-                for &fid in facts {
-                    self.each(i, pat, fid, regs, ov, walk)?;
+                for pos in rows.positions(range.clone(), key) {
+                    self.each(i, pat, rows.tuple_at(pos)[0], regs, ov, walk)?;
                 }
             }
             (Op::Scan { lit, .. }, OpState::Oids(oids)) => {
@@ -1959,32 +1968,37 @@ impl<'v> Search<'_, '_, 'v> {
                 // Error parity across access paths: an unknown relation is
                 // an error no matter which index (if any) would serve the
                 // scan.
-                let extent = self.view.relation_ids(*r)?;
-                let source = match restrict {
-                    Some((d, _)) => d.rels.get(r),
-                    None => Some(extent),
-                };
-                match probe {
-                    // A full-extent scan probes the frozen instance's
-                    // persistent index for the planner-chosen attribute. A
-                    // probe key the base store has never seen gets an
-                    // overlay-local id, which correctly misses every
-                    // (base-id) index entry. Otherwise the index is built
-                    // over the candidates.
-                    Some(Probe { attr, .. }) => {
-                        OpState::Probe(match self.view.rel_index(*r, *attr) {
-                            Some(index) if slice.is_none() && restrict.is_none() => {
-                                Cow::Borrowed(index)
-                            }
-                            _ => Cow::Owned(AttrIndex::build(
-                                *attr,
-                                scan_candidates(source, slice).into_iter(),
-                                &*ov,
-                            )),
-                        })
+                let rows = self.view.relation_rows(*r)?;
+                let all = rows.all();
+                let range = match (restrict, slice) {
+                    (Some((d, _)), _) => {
+                        let range = d.ranges.get(r).cloned().unwrap_or(all.end..all.end);
+                        debug_assert_eq!(range.end, all.end, "a delta range never spans a removal");
+                        range
                     }
-                    None => OpState::Values(scan_candidates(source, slice)),
-                }
+                    (None, Some((skip, take))) => {
+                        let end = (skip + take).min(rows.len()) as u32;
+                        (skip as u32).min(end)..end
+                    }
+                    (None, None) => all,
+                };
+                // A whole-relation scan probes the frozen instance's
+                // persistent index on the planner-chosen attribute's
+                // column. A probe key the base store has never seen gets
+                // an overlay-local id, which correctly misses every
+                // (base-id) index entry. Otherwise the index is built over
+                // the range.
+                let probe = probe.as_ref().and_then(|p| {
+                    let col = self.view.rel_column(*r, p.attr)?;
+                    let index = match rows.index(col) {
+                        Some(index) if slice.is_none() && restrict.is_none() => {
+                            Cow::Borrowed(index)
+                        }
+                        _ => Cow::Owned(rows.index_over(col, range.clone())),
+                    };
+                    Some((p.field, index))
+                });
+                OpState::Rows { rows, range, probe }
             }
             Op::Scan {
                 src: Term::Class(p),
@@ -1995,7 +2009,7 @@ impl<'v> Search<'_, '_, 'v> {
                     Some((d, _)) => d.classes.get(p),
                     None => Some(extent),
                 };
-                OpState::Oids(scan_candidates(source, slice))
+                OpState::Oids(class_candidates(source, slice))
             }
             Op::Enumerate {
                 item: (var, ty), ..
@@ -2046,10 +2060,7 @@ fn literal_satisfied_id<I: ValueInterner>(
                 return false; // valuation must be defined on both terms
             };
             match set {
-                STerm::Rel(r) => view
-                    .relation_ids(*r)
-                    .map(|s| s.contains(&ev) == *positive)
-                    .unwrap_or(false),
+                STerm::Rel(r) => view.holds(*r, ev).is_ok_and(|member| member == *positive),
                 STerm::Class(p) => {
                     let Ok(s) = view.class(*p) else { return false };
                     let member = interner.as_oid(ev).map(|o| s.contains(&o)).unwrap_or(false);
@@ -2114,15 +2125,15 @@ fn head_satisfiable_id<I: ValueInterner>(
     };
     match &cr.head {
         SHead::Rel(r, t) => {
-            let Ok(facts) = view.relation_ids(*r) else {
+            let Ok(mut facts) = view.relation_ids(*r) else {
                 return false;
             };
             if no_invention {
-                // Fully bound head: a set-membership probe suffices.
+                // Fully bound head: a membership probe suffices.
                 *head = eval_term_id(t, &regs.vals, view, interner);
-                return head.is_some_and(|v| facts.contains(&v));
+                return head.is_some_and(|v| view.holds(*r, v) == Ok(true));
             }
-            facts.iter().any(|&fid| extends(t, fid, regs, interner))
+            facts.any(|fid| extends(t, fid, regs, interner))
         }
         SHead::Class(p, v) => match regs.vals[*v] {
             Some(id) => match interner.as_oid(id) {
@@ -2194,11 +2205,7 @@ fn deletion_applicable_id<I: ValueInterner>(
     match &cr.head {
         SHead::DeleteRel(r, t) => {
             *head = eval_term_id(t, regs, view, interner);
-            head.is_some_and(|v| {
-                view.relation_ids(*r)
-                    .map(|s| s.contains(&v))
-                    .unwrap_or(false)
-            })
+            head.is_some_and(|v| view.holds(*r, v) == Ok(true))
         }
         SHead::DeleteOid(p, x) => match regs[*x].and_then(|id| interner.as_oid(id)) {
             Some(o) => view.class(*p).map(|s| s.contains(&o)).unwrap_or(false),

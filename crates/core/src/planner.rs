@@ -7,7 +7,8 @@
 //! are reordered by estimated selectivity from the instance's cardinality
 //! statistics ([`iql_model::InstanceStats`]). Whichever order runs, every
 //! relation scan gets a statically chosen probe attribute backed by the
-//! instance's persistent secondary indexes ([`iql_model::RelIndexes`]).
+//! incremental index on that attribute's column of the relation's rows
+//! ([`iql_model::IdRelation`], the store both engines share).
 //!
 //! A plan is a short program of [`Op`]s — scans (optionally index-probed),
 //! bind-equalities, active-domain enumerations, filters and negation
@@ -692,11 +693,14 @@ fn choose_probes(ops: &mut [Op<'_>], work: &mut Instance) {
         } = op
         {
             // Candidates in attribute order: the shared policy keeps the
-            // earliest on ties, so the choice is deterministic.
+            // earliest on ties, so the choice is deterministic. Only an
+            // attribute with a column of the relation's rows can be probed.
             let candidates: Vec<Probe> = fields
                 .iter()
                 .enumerate()
-                .filter(|(_, (_, t))| term_bound(t, &bound))
+                .filter(|(_, (attr, t))| {
+                    term_bound(t, &bound) && work.id_view().rel_column(*r, **attr).is_some()
+                })
                 .map(|(field, (attr, key))| Probe {
                     attr: *attr,
                     key,

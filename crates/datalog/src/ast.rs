@@ -17,8 +17,10 @@
 //! Tc(x, z) :- Tc(x, y), Edge(y, z).
 //! ```
 
-use crate::interned::{constant, lookup_constant, with_id_tuple, IdDatabase, IdRelation};
+use crate::interned::{constant, lookup_constant, IdDatabase};
 use crate::{DlError, Result};
+use iql_model::relation::with_id_tuple;
+use iql_model::IdRelation;
 use iql_model::{Constant, ValueId, ValueStore};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;

@@ -17,13 +17,14 @@
 //! asymptotic win over naive evaluation — and over IQL's naive inflationary
 //! evaluator — comes from (experiment E11).
 //!
-//! A round copies no tuple. Relations are append-only and
+//! A round copies no tuple. Relations are the model's [`IdRelation`] —
+//! the store IQL's evaluator reads too — append-only and
 //! insertion-ordered, so a delta is a position range of the database's own
 //! relation: the positions a relation gained in the previous round's merge
 //! (a delta atom with a bound column probes a one-off index over just that
-//! range). Each join task's head tuples merge as one batch
-//! (`IdDatabase::insert_all`), which unshares a relation only for a
-//! tuple that is new.
+//! range, [`IdRelation::index_over`]). Each join task's head tuples merge
+//! as one batch (`IdDatabase::insert_all`), which unshares a relation only
+//! for a tuple that is new.
 //!
 //! A [`Database`] stores only interned data (the private `interned`
 //! module), so an `eval` call converts nothing: it starts from an
@@ -38,13 +39,13 @@
 //! borrows it and resolves constants as it goes.
 
 use crate::ast::{Atom, Database, DlTerm, Program, Rule};
-use crate::interned::{with_id_tuple, ColIndex, IdDatabase, IdRelation};
+use crate::interned::IdDatabase;
 use crate::stratify::stratify;
 use crate::{DlError, Result};
 use iql_core::govern::{AbortReason, Governor, Pacer};
-use iql_exec::{choose_probe, effective_threads, run_tasks};
-use iql_model::{ValueId, ValueInterner, ValueStore};
-use std::cell::Cell;
+use iql_exec::{choose_probe, effective_threads, run_tasks, TEST_PANIC_RULE};
+use iql_model::relation::with_id_tuple;
+use iql_model::{ColIndex, IdRelation, ValueId, ValueInterner, ValueStore};
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -56,16 +57,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// tripped run returns the partial database with
 /// [`EvalStats::trip`]` = Some(StepLimit)`.
 pub const DEFAULT_MAX_ROUNDS: usize = 1_000_000;
-
-thread_local! {
-    /// Test-only fault injection: set it to a rule index on the thread that
-    /// calls [`eval_governed`] to make that rule's join tasks panic,
-    /// exercising the `catch_unwind` containment path. It is read once per
-    /// evaluation, on the calling thread, so evaluations on other threads
-    /// never see it. `usize::MAX` (the default) injects nothing.
-    #[doc(hidden)]
-    pub static TEST_PANIC_RULE: Cell<usize> = const { Cell::new(usize::MAX) };
-}
 
 /// Statistics from one evaluation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -11,29 +11,21 @@
 //! copied on their first write. Constants are resolved back only as a
 //! caller reads them, through the borrowed [`crate::Relation`] view.
 //!
-//! An [`IdRelation`] stores its tuples flat (one `Vec<ValueId>`, stride =
-//! arity) in insertion order, which makes fixpoint iteration deterministic,
-//! next to a hash-chained membership map and *incremental* per-column
-//! indexes: each built on demand when the join planner may probe its
-//! column, shared with every fork of the relation, and maintained by every
-//! later insert — so no probe needs a per-round index rebuild once its
-//! column has been ensured. Tuples never move, so the tuples one batch of
-//! inserts added are a position range, which is how semi-naive evaluation
-//! reads a delta; a scan covers a range, and a [`ColIndex`] can cover just
-//! one. Inserts come in batches ([`IdDatabase::insert_all`]) that unshare
-//! the relation once, at the first new tuple; storing a tuple allocates
-//! nothing beyond amortized vector and map growth.
+//! Relations are the model's [`IdRelation`], the store IQL's `ρ` uses too:
+//! one row per tuple in insertion order, hash-chained membership and
+//! incremental column indexes, built on demand and shared across forks.
+//! Rows never move, so the tuples one batch of inserts added are a position
+//! range, which is how semi-naive evaluation reads a delta. Inserts come in
+//! batches ([`IdDatabase::insert_all`]) that unshare a relation once, at
+//! its first new tuple.
 
 use crate::{DlError, Result};
-use iql_model::{Constant, HashChains, Node, ValueId, ValueInterner, ValueReader, ValueStore};
-use std::collections::hash_map::{Entry, RandomState};
-use std::collections::{BTreeMap, HashMap};
-use std::hash::BuildHasher;
-use std::ops::Range;
-use std::sync::{Arc, OnceLock};
-
-/// The end of a position chain.
-const NONE: u32 = u32::MAX;
+use iql_model::relation::with_id_tuple;
+use iql_model::{
+    ArityMismatch, Constant, IdRelation, Node, ValueId, ValueInterner, ValueReader, ValueStore,
+};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The constant behind `id`: a Datalog database interns only constants.
 pub(crate) fn constant(store: &ValueStore, id: ValueId) -> &Constant {
@@ -48,351 +40,18 @@ pub(crate) fn lookup_constant(store: &ValueStore, c: &Constant) -> Option<ValueI
     store.lookup(&Node::Const(c.clone()))
 }
 
-/// Runs `k` on the tuple of ids yielded by `ids`, or returns `None` if any
-/// is `None`. Arities up to 8 use a stack buffer, so the per-tuple paths
-/// (loading, `contains`, negation guards) allocate nothing.
-pub(crate) fn with_id_tuple<R>(
-    mut ids: impl ExactSizeIterator<Item = Option<ValueId>>,
-    k: impl FnOnce(&[ValueId]) -> R,
-) -> Option<R> {
-    let n = ids.len();
-    let Some(first) = ids.next() else {
-        return Some(k(&[]));
-    };
-    let first = first?;
-    let mut small = [first; 8];
-    let mut big = Vec::new();
-    let buf: &mut [ValueId] = if n <= small.len() {
-        &mut small[..n]
-    } else {
-        big.resize(n, first);
-        &mut big
-    };
-    for (slot, id) in buf[1..].iter_mut().zip(ids) {
-        *slot = id?;
-    }
-    Some(k(buf))
-}
-
-/// Membership of an [`IdRelation`]: its tuple positions, chained by tuple
-/// hash.
-#[derive(Debug, Clone, Default)]
-struct Members {
-    hasher: RandomState,
-    chains: HashChains,
-}
-
-/// Is `t`, whose membership hash is `h`, among the tuples of `data` (of
-/// `arity` ids each) that `chains` holds?
-fn holds(data: &[ValueId], arity: usize, chains: &HashChains, t: &[ValueId], h: u64) -> bool {
-    chains
-        .find(h, |pos| {
-            let start = pos as usize * arity;
-            data[start..start + arity] == *t
-        })
-        .is_some()
-}
-
-/// An index on one column over the positions `base..base + n` of a
-/// relation: each value maps to the `(first, last)` positions holding it,
-/// and `next` chains every position to the next one with the same value,
-/// so postings walk in ascending position order and adding a position
-/// allocates nothing per key. Positions are absolute: a relation's own
-/// incremental index starts at 0, and a semi-naive delta's one-off index
-/// at the delta's first position.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ColIndex {
-    base: u32,
-    ends: HashMap<ValueId, (u32, u32)>,
-    next: Vec<u32>,
-}
-
-impl ColIndex {
-    /// Records the next position, whose column value is `key`.
-    fn push(&mut self, key: ValueId) {
-        let pos = u32::try_from(self.next.len())
-            .ok()
-            .and_then(|n| self.base.checked_add(n))
-            .expect("relation overflow");
-        self.next.push(NONE);
-        match self.ends.entry(key) {
-            Entry::Occupied(mut e) => {
-                let last = &mut e.get_mut().1;
-                self.next[(*last - self.base) as usize] = pos;
-                *last = pos;
-            }
-            Entry::Vacant(e) => {
-                e.insert((pos, pos));
-            }
-        }
-    }
-
-    /// The first (lowest) position whose column value is `key`.
-    fn first(&self, key: ValueId) -> Option<u32> {
-        self.ends.get(&key).map(|&(first, _)| first)
-    }
-
-    /// The position after `pos` with the same column value.
-    fn next(&self, pos: u32) -> Option<u32> {
-        let next = self.next[(pos - self.base) as usize];
-        (next != NONE).then_some(next)
-    }
-
-    /// Number of distinct values in the column — the cardinality
-    /// statistic the join planner ranks probe columns by.
-    pub(crate) fn distinct(&self) -> usize {
-        self.ends.len()
-    }
-}
-
-/// A relation over interned tuples: append-only, insertion-ordered flat
-/// storage, hash-chained membership, and incremental per-column indexes.
-/// The tuple data, the membership map and each built index sit behind
-/// their own `Arc`, so clones share them and copy each only on its first
-/// write. An index is built through a shared reference, so building one on
-/// a shared relation copies nothing, and every sharer gets it.
-///
-/// Tuples are never moved or removed, so the tuples a batch of inserts
-/// added are exactly the positions from the relation's length before the
-/// batch to its length after: a semi-naive delta is such a range.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct IdRelation {
-    /// Arity; fixed by the first insert.
-    arity: Option<usize>,
-    /// Tuples in insertion order, `arity` ids each — the deterministic
-    /// scan order.
-    data: Arc<Vec<ValueId>>,
-    members: Arc<Members>,
-    /// One index slot per column, created by the first insert. A column's
-    /// index is built on demand by [`Self::ensure_index`] when the join
-    /// planner may probe it, and from then on maintained *incrementally* by
-    /// every insert, so semi-naive rounds never rebuild — and a built
-    /// index's key count doubles as the column's distinct-value statistic.
-    /// Loading builds none: a loaded database gets each index once, from
-    /// the first evaluation that probes it, and keeps it for later ones.
-    indexes: Vec<OnceLock<Arc<ColIndex>>>,
-}
-
-/// The writable parts of an unshared [`IdRelation`], taken once per batch
-/// of inserts, so that storing a tuple pays no copy-on-write check.
-struct Writer<'a> {
-    arity: usize,
-    data: &'a mut Vec<ValueId>,
-    members: &'a mut Members,
-    /// The built indexes, each with its column.
-    indexes: Vec<(usize, &'a mut ColIndex)>,
-}
-
-impl Writer<'_> {
-    /// Appends `t`, known to be absent, under membership hash `h`.
-    fn push(&mut self, t: &[ValueId], h: u64) {
-        self.data.extend_from_slice(t);
-        self.members.chains.push(h);
-        for (col, idx) in &mut self.indexes {
-            idx.push(t[*col]);
-        }
-    }
-
-    /// Appends `t` unless it is stored already; returns whether it was new.
-    fn insert(&mut self, t: &[ValueId]) -> bool {
-        let h = self.members.hasher.hash_one(t);
-        if holds(self.data, self.arity, &self.members.chains, t, h) {
-            return false;
-        }
-        self.push(t, h);
-        true
-    }
-}
-
-impl IdRelation {
-    /// Fails unless a tuple of `len` columns fits the relation's arity.
-    fn check_arity(&self, len: usize) -> Result<()> {
-        match self.arity {
-            Some(a) if a != len => Err(DlError::Arity {
-                rel: String::new(),
-                expected: a,
-                found: len,
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    /// The membership hash of `t`.
-    fn hash(&self, t: &[ValueId]) -> u64 {
-        self.members.hasher.hash_one(t)
-    }
-
-    /// Is `t`, whose membership hash is `h`, stored?
-    fn contains_hashed(&self, t: &[ValueId], h: u64) -> bool {
-        holds(
-            &self.data,
-            self.arity.unwrap_or(0),
-            &self.members.chains,
-            t,
-            h,
-        )
-    }
-
-    /// Membership test.
-    pub(crate) fn contains(&self, t: &[ValueId]) -> bool {
-        self.arity == Some(t.len()) && self.contains_hashed(t, self.hash(t))
-    }
-
-    /// Unshares the tuple data, the membership map and every built index
-    /// for a batch of inserts of `arity` columns (already checked against
-    /// the relation's); the first write fixes the arity.
-    fn writer(&mut self, arity: usize) -> Writer<'_> {
-        if self.arity.is_none() {
-            self.arity = Some(arity);
-            self.indexes = (0..arity).map(|_| OnceLock::new()).collect();
-        }
-        Writer {
-            arity,
-            data: Arc::make_mut(&mut self.data),
-            members: Arc::make_mut(&mut self.members),
-            indexes: self
-                .indexes
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(col, slot)| slot.get_mut().map(|idx| (col, Arc::make_mut(idx))))
-                .collect(),
-        }
-    }
-
-    /// Inserts `t` as if its membership hash were `h` — the seam that lets
-    /// tests force hash collisions; returns whether it was new.
-    #[cfg(test)]
-    fn insert_hashed(&mut self, t: &[ValueId], h: u64) -> Result<bool> {
-        self.check_arity(t.len())?;
-        if self.contains_hashed(t, h) {
-            return Ok(false);
-        }
-        self.writer(t.len()).push(t, h);
-        Ok(true)
-    }
-
-    /// Inserts a tuple; returns whether it was new.
-    #[cfg(test)]
-    fn insert(&mut self, t: &[ValueId]) -> Result<bool> {
-        self.insert_hashed(t, self.hash(t))
-    }
-
-    /// The tuples, in insertion order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[ValueId]> + '_ {
-        (0..self.len()).map(|pos| self.tuple_at(pos as u32))
-    }
-
-    /// Every position, `0..len()`.
-    pub(crate) fn all(&self) -> Range<u32> {
-        0..u32::try_from(self.len()).expect("relation overflow")
-    }
-
-    /// The positions a scan of `range` visits, ascending: with
-    /// `Some((index, key))`, those whose indexed column holds `key`
-    /// (`index` must be one of this relation's over exactly `range`); with
-    /// `None`, every position in `range`.
-    pub(crate) fn positions<'a>(
-        &self,
-        range: Range<u32>,
-        probe: Option<(&'a ColIndex, ValueId)>,
-    ) -> impl Iterator<Item = u32> + 'a {
-        debug_assert!(range.end as usize <= self.len());
-        let first = match probe {
-            Some((idx, key)) => idx.first(key),
-            None => (range.start < range.end).then_some(range.start),
-        };
-        std::iter::successors(first, move |&pos| match probe {
-            Some((idx, _)) => idx.next(pos),
-            None => (pos + 1 < range.end).then_some(pos + 1),
-        })
-    }
-
-    /// The tuple at `pos` (a position from an index).
-    pub(crate) fn tuple_at(&self, pos: u32) -> &[ValueId] {
-        let a = self.arity.unwrap_or(0);
-        let start = pos as usize * a;
-        &self.data[start..start + a]
-    }
-
-    /// Number of tuples.
-    pub(crate) fn len(&self) -> usize {
-        self.members.chains.len()
-    }
-
-    /// Is the relation empty?
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The arity, fixed by the first insert; `None` while nothing was ever
-    /// stored.
-    pub(crate) fn arity(&self) -> Option<usize> {
-        self.arity
-    }
-
-    /// The incremental index on `col`, if built.
-    pub(crate) fn index(&self, col: usize) -> Option<&ColIndex> {
-        self.indexes.get(col)?.get().map(Arc::as_ref)
-    }
-
-    /// A one-off index on `col` over the positions in `range` — how a
-    /// semi-naive round indexes the previous round's delta.
-    pub(crate) fn index_over(&self, col: usize, range: Range<u32>) -> ColIndex {
-        let mut idx = ColIndex {
-            base: range.start,
-            ..ColIndex::default()
-        };
-        for pos in range {
-            idx.push(self.tuple_at(pos)[col]);
-        }
-        idx
-    }
-
-    /// Builds the index on `col` if absent; later inserts maintain it.
-    /// Columns beyond the arity have no index to build.
-    fn ensure_index(&self, col: usize) {
-        if let Some(slot) = self.indexes.get(col) {
-            slot.get_or_init(|| Arc::new(self.index_over(col, self.all())));
-        }
-    }
-}
-
-/// Appends to `rel` each of the `count` tuples of `arity` ids (the
-/// relation's arity) that `ids` holds back to back and `rel` does not hold
-/// yet, in order; returns how many were new. `rel` is unshared — its data,
-/// membership and built indexes copied if a clone shares them — only once
-/// a first new tuple turns up.
-fn insert_new(rel: &mut Arc<IdRelation>, arity: usize, ids: &[ValueId], count: usize) -> usize {
-    let mut tuples = (0..count).map(|i| &ids[i * arity..(i + 1) * arity]);
-    let Some((first, h)) = tuples
-        .by_ref()
-        .map(|t| (t, rel.hash(t)))
-        .find(|&(t, h)| !rel.contains_hashed(t, h))
-    else {
-        return 0;
-    };
-    let mut w = Arc::make_mut(rel).writer(arity);
-    w.push(first, h);
-    1 + tuples.filter(|t| w.insert(t)).count()
-}
-
 /// A database over interned relations. Cloning shares every relation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IdDatabase {
     relations: BTreeMap<String, Arc<IdRelation>>,
 }
 
-/// Names the relation in an arity error raised by an [`IdRelation`].
-fn name_arity_error(r: &str) -> impl FnOnce(DlError) -> DlError + '_ {
-    move |e| match e {
-        DlError::Arity {
-            expected, found, ..
-        } => DlError::Arity {
-            rel: r.to_string(),
-            expected,
-            found,
-        },
-        other => other,
+/// Names relation `r` in the arity mismatch of one of its rows.
+fn arity_error(r: &str) -> impl FnOnce(ArityMismatch) -> DlError + '_ {
+    move |m| DlError::Arity {
+        rel: r.to_string(),
+        expected: m.expected,
+        found: m.found,
     }
 }
 
@@ -460,9 +119,9 @@ impl IdDatabase {
         if count == 0 {
             return Ok(0);
         }
-        let rel = self.relation_mut(r);
-        rel.check_arity(arity).map_err(name_arity_error(r))?;
-        Ok(insert_new(rel, arity, ids, count))
+        IdRelation::insert_all(self.relation_mut(r), arity, ids, count)
+            .map(|added| added.new)
+            .map_err(arity_error(r))
     }
 
     /// Inserts a tuple into relation `r` (created if needed); returns
@@ -482,13 +141,13 @@ impl IdDatabase {
         store: &mut ValueStore,
     ) -> Result<bool> {
         let rel = self.relation_mut(r);
-        rel.check_arity(t.len()).map_err(name_arity_error(r))?;
-        Ok(
-            with_id_tuple(t.into_iter().map(|c| Some(store.const_id(c))), |t| {
-                insert_new(rel, t.len(), t, 1) == 1
-            })
-            .expect("every constant interns"),
-        )
+        rel.check_arity(t.len()).map_err(arity_error(r))?;
+        let added = with_id_tuple(t.into_iter().map(|c| Some(store.const_id(c))), |t| {
+            IdRelation::insert_all(rel, t.len(), t, 1)
+        })
+        .expect("every constant interns")
+        .expect("arity checked above");
+        Ok(added.new == 1)
     }
 
     /// Total tuple count.
@@ -514,6 +173,15 @@ impl IdDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iql_model::ColIndex;
+
+    /// Inserts one tuple into `rel`; returns whether it was new.
+    fn insert(
+        rel: &mut Arc<IdRelation>,
+        t: &[ValueId],
+    ) -> std::result::Result<bool, ArityMismatch> {
+        IdRelation::insert_all(rel, t.len(), t, 1).map(|added| added.new == 1)
+    }
 
     fn cid(store: &mut ValueStore, n: i64) -> ValueId {
         store.const_id(Constant::int(n))
@@ -560,11 +228,11 @@ mod tests {
     fn relation_dedups_and_indexes_first_column() {
         let mut store = ValueStore::new();
         let (a, b, c) = (cid(&mut store, 1), cid(&mut store, 2), cid(&mut store, 3));
-        let mut rel = IdRelation::default();
-        assert!(rel.insert(&[a, b]).unwrap());
-        assert!(!rel.insert(&[a, b]).unwrap(), "duplicate");
-        assert!(rel.insert(&[a, c]).unwrap());
-        assert!(rel.insert(&[b, c]).unwrap());
+        let mut rel = Arc::new(IdRelation::default());
+        assert!(insert(&mut rel, &[a, b]).unwrap());
+        assert!(!insert(&mut rel, &[a, b]).unwrap(), "duplicate");
+        assert!(insert(&mut rel, &[a, c]).unwrap());
+        assert!(insert(&mut rel, &[b, c]).unwrap());
         assert_eq!(rel.len(), 3);
         assert!(rel.contains(&[a, c]));
         assert!(!rel.contains(&[c, a]));
@@ -584,7 +252,7 @@ mod tests {
         rel.ensure_index(1);
         assert_eq!(postings(&rel, 1, c), vec![1, 2]);
         assert_eq!(rel.index(1).map(ColIndex::distinct), Some(2)); // {b, c}
-        assert!(rel.insert(&[c, a]).unwrap());
+        assert!(insert(&mut rel, &[c, a]).unwrap());
         assert_eq!(postings(&rel, 1, a), vec![3]);
         assert_eq!(rel.index(1).map(ColIndex::distinct), Some(3));
         assert_eq!(postings(&rel, 0, c), vec![3]);
@@ -599,65 +267,28 @@ mod tests {
 
     #[test]
     fn nullary_relations_hold_at_most_one_tuple() {
-        let mut rel = IdRelation::default();
+        let mut rel = Arc::new(IdRelation::default());
         assert!(!rel.contains(&[]));
-        assert!(rel.insert(&[]).unwrap());
-        assert!(!rel.insert(&[]).unwrap());
+        assert!(insert(&mut rel, &[]).unwrap());
+        assert!(!insert(&mut rel, &[]).unwrap());
         assert_eq!(rel.len(), 1);
         assert!(rel.contains(&[]));
         assert_eq!(rel.iter().collect::<Vec<_>>(), vec![&[] as &[ValueId]]);
     }
 
     #[test]
-    fn forced_hash_collisions_never_merge_tuples() {
-        let mut store = ValueStore::new();
-        let ids: Vec<ValueId> = (0..6).map(|n| cid(&mut store, n)).collect();
-        let mut rel = IdRelation::default();
-        let mut stored = Vec::new();
-        for (i, &x) in ids.iter().enumerate() {
-            for &y in &ids[i % 3..] {
-                // Every tuple gets the same hash.
-                assert!(rel.insert_hashed(&[x, y], 7).unwrap(), "{x:?},{y:?} is new");
-                stored.push([x, y]);
-                // Column 0 is maintained by every later insert.
-                rel.ensure_index(0);
-            }
-        }
-        assert_eq!(rel.len(), stored.len());
-        for t in &stored {
-            assert!(!rel.insert_hashed(t, 7).unwrap(), "true duplicate rejected");
-            assert!(rel.contains_hashed(t, 7));
-        }
-        assert!(!rel.contains_hashed(&[ids[5], ids[0]], 7));
-        assert!(
-            !rel.contains_hashed(&stored[0], 8),
-            "a different hash misses"
-        );
-        assert_eq!(
-            rel.iter().map(<[ValueId]>::to_vec).collect::<Vec<_>>(),
-            stored
-        );
-        // Every column's postings stay ascending and agree with a scan,
-        // whether maintained (column 0) or built at once (column 1).
-        rel.ensure_index(1);
-        for col in 0..2 {
-            for &key in &ids {
-                let got: Vec<u32> = postings(&rel, col, key);
-                let want: Vec<u32> = (0..stored.len() as u32)
-                    .filter(|&p| stored[p as usize][col] == key)
-                    .collect();
-                assert_eq!(got, want, "column {col}, key {key:?}");
-            }
-        }
-    }
-
-    #[test]
     fn relation_arity_enforced() {
         let mut store = ValueStore::new();
         let a = cid(&mut store, 1);
-        let mut rel = IdRelation::default();
-        rel.insert(&[a, a]).unwrap();
-        assert!(matches!(rel.insert(&[a]), Err(DlError::Arity { .. })));
+        let mut rel = Arc::new(IdRelation::default());
+        insert(&mut rel, &[a, a]).unwrap();
+        assert_eq!(
+            insert(&mut rel, &[a]),
+            Err(ArityMismatch {
+                expected: 2,
+                found: 1
+            })
+        );
         let mut db = IdDatabase::new();
         db.insert("R", &[a, a]).unwrap();
         assert!(matches!(
@@ -790,9 +421,9 @@ mod tests {
     fn a_range_scans_and_indexes_only_its_positions() {
         let mut store = ValueStore::new();
         let ids: Vec<ValueId> = (0..3).map(|n| cid(&mut store, n)).collect();
-        let mut rel = IdRelation::default();
+        let mut rel = Arc::new(IdRelation::default());
         for (x, y) in [(0, 1), (1, 2), (0, 2), (2, 0), (0, 0), (1, 1)] {
-            rel.insert(&[ids[x], ids[y]]).unwrap();
+            insert(&mut rel, &[ids[x], ids[y]]).unwrap();
         }
         let range = 2..5;
         assert_eq!(

@@ -19,9 +19,23 @@
 //! Panic containment is the caller's business: wrap the task body in
 //! `catch_unwind` and make the output type carry the failure (both engines
 //! do), so one poisoned rule doesn't tear down its siblings.
+//! [`TEST_PANIC_RULE`] is the one fault-injection hook both engines honour
+//! to exercise that path.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+thread_local! {
+    /// Test-only fault injection: set it to a rule index on the thread that
+    /// starts an evaluation (of either engine) to make that rule's tasks
+    /// panic, exercising the `catch_unwind` containment path. Each engine
+    /// reads it once per evaluation, on the calling thread, and carries it
+    /// into its tasks, so evaluations on other threads never see it.
+    /// `usize::MAX` (the default) injects nothing.
+    #[doc(hidden)]
+    pub static TEST_PANIC_RULE: Cell<usize> = const { Cell::new(usize::MAX) };
+}
 
 /// Resolves a requested thread count: `0` means one worker per available
 /// core, anything else is taken literally.

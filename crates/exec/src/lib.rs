@@ -29,6 +29,6 @@ pub mod driver;
 pub mod govern;
 pub mod probe;
 
-pub use driver::{chunk_ranges, effective_threads, run_tasks};
+pub use driver::{chunk_ranges, effective_threads, run_tasks, TEST_PANIC_RULE};
 pub use govern::{AbortReason, Governor, Pacer};
 pub use probe::choose_probe;

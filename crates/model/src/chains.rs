@@ -1,5 +1,5 @@
 //! Hash chains over append-only positions: the lookup structure of the
-//! value store's layers and of Datalog's relation membership.
+//! value store's layers and of relation membership (both engines).
 //!
 //! The owner keeps the items (nodes, tuples) in a `Vec` of its own and
 //! hashes each one once with a std `RandomState`; [`HashChains`] keeps only

@@ -211,7 +211,7 @@ impl SchemaWithIsa {
         let store = inst.store();
         for r in self.schema.relations() {
             let ty = self.schema.relation_type(r)?;
-            for &fid in inst.relation_ids(r)? {
+            for fid in inst.relation_ids(r)? {
                 if !ty.member_id(fid, store, &view) {
                     return Err(ModelError::IllTypedRelation {
                         rel: r,

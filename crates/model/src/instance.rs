@@ -20,13 +20,13 @@
 use crate::constant::Constant;
 use crate::error::ModelError;
 use crate::idgen::{Oid, OidGen};
-use crate::index::{AttrIndex, RelIndexes};
 use crate::names::{AttrName, ClassName, RelName};
 use crate::ovalue::OValue;
+use crate::relation::{with_id_tuple, ColIndex, IdRelation, Inserted};
 use crate::schema::Schema;
 use crate::stats::InstanceStats;
 use crate::store::{Node, Overlay, ValueId, ValueInterner, ValueReader, ValueStore};
-use crate::types::{ClassMap, EnumUniverse, OidClasses};
+use crate::types::{ClassMap, EnumUniverse, OidClasses, TypeExpr};
 use crate::Result;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
@@ -75,13 +75,21 @@ impl fmt::Display for GroundFact {
 /// read — one cache per relation plus one for `ν` — and dropped by any
 /// write to that part.
 ///
-/// Every part is **copy-on-write**: each relation's id set, each class
-/// extent, `ν`, the class inverse, every built secondary index, the value
-/// store and any built tree view sit behind `Arc`s and are copied only on
-/// the first write through [`Arc::make_mut`]. Cloning is therefore
-/// O(#relations + #classes + #indexes) whatever the data size, and
-/// [`Instance::fork`] widens a snapshot to a larger schema at the same cost
-/// without copying a single fact.
+/// Each relation is an [`IdRelation`], the store the Datalog engine uses
+/// too, holding one row per fact in insertion order: the fact id, then —
+/// when `T(R)` is a tuple type or a union of tuple types — one column per
+/// attribute, in attribute order, holding the fact's field id, or
+/// [`ValueId::ABSENT`] where the fact lacks the attribute. The fact id is
+/// the row's key, so membership probes it alone; a probe on an attribute
+/// reads that column's incremental index.
+///
+/// Every part is **copy-on-write**: each relation (with its built column
+/// indexes), each class extent, `ν`, the class inverse, the value store
+/// and any built tree view sit behind `Arc`s and are copied only on the
+/// first write through [`Arc::make_mut`]. Cloning is therefore
+/// O(#relations + #classes) whatever the data size, and [`Instance::fork`]
+/// widens a snapshot to a larger schema at the same cost without copying a
+/// single fact.
 #[derive(Clone)]
 pub struct Instance {
     schema: Arc<Schema>,
@@ -97,9 +105,6 @@ pub struct Instance {
     gen: OidGen,
     /// Hash-consing arena every id of `ρ` and `ν` resolves through.
     store: ValueStore,
-    /// Persistent secondary indexes over `ρ`, maintained incrementally by
-    /// the fact mutators; never observable (not part of equality).
-    indexes: RelIndexes,
     /// Monotone statistics epoch: bumped whenever the cardinality picture a
     /// planner might have cached goes stale — a relation or class extent
     /// crosses a power-of-two threshold, a built index's distinct-key count
@@ -108,37 +113,92 @@ pub struct Instance {
     stats_epoch: u64,
 }
 
-/// One relation's facts: the interned ids, which are the state, and the
-/// tree view built from them on first read. Clones share both.
-#[derive(Clone, Default)]
+/// One relation's facts: their rows, which are the state, with the
+/// attributes of the field columns, and the tree view built from the rows
+/// on first read. Clones share all three.
+#[derive(Clone)]
 struct RelFacts {
-    ids: Arc<BTreeSet<ValueId>>,
+    rows: Arc<IdRelation>,
+    /// The attribute of each column after the first, in attribute order.
+    attrs: Arc<[AttrName]>,
     view: OnceLock<Arc<BTreeSet<OValue>>>,
 }
 
+/// The attributes of `ty` if it is a tuple type or a union of them.
+fn tuple_attrs(ty: &TypeExpr) -> Option<BTreeSet<AttrName>> {
+    match ty {
+        TypeExpr::Tuple(fields) => Some(fields.keys().copied().collect()),
+        TypeExpr::Union(a, b) => Some(&tuple_attrs(a)? | &tuple_attrs(b)?),
+        _ => None,
+    }
+}
+
 impl RelFacts {
-    /// Adds `id`; returns whether it is new. Only a new id unshares the
-    /// set and drops the tree view.
-    fn insert(&mut self, id: ValueId) -> bool {
-        let fresh = match Arc::get_mut(&mut self.ids) {
-            Some(owned) => owned.insert(id),
-            // Shared: probe before copying, so a duplicate never unshares.
-            None => !self.ids.contains(&id) && Arc::make_mut(&mut self.ids).insert(id),
-        };
-        if fresh {
-            self.view.take();
+    /// No facts, in the row layout of `schema`'s relation `r`.
+    fn new(schema: &Schema, r: RelName) -> RelFacts {
+        let ty = schema.relation_type(r).expect("own relation");
+        let attrs: Arc<[AttrName]> = tuple_attrs(ty).unwrap_or_default().into_iter().collect();
+        RelFacts {
+            rows: Arc::new(IdRelation::with_key(1 + attrs.len(), 1)),
+            attrs,
+            view: OnceLock::new(),
         }
-        fresh
     }
 
-    /// Removes `id`; returns whether it was present. Only a present id
-    /// unshares the set and drops the tree view.
-    fn remove(&mut self, id: ValueId) -> bool {
-        if !self.ids.contains(&id) {
-            return false;
+    /// The fact ids, in insertion order.
+    fn ids(&self) -> impl ExactSizeIterator<Item = ValueId> + '_ {
+        self.rows.column(0)
+    }
+
+    /// Is `fid` a fact? The fact id is the key of its row.
+    fn holds(&self, fid: ValueId) -> bool {
+        self.rows.contains(&[fid])
+    }
+
+    /// Adds `fid`, whose node `store` resolves, as the row of `fid` and
+    /// the id of each attribute's field, or [`ValueId::ABSENT`] where the
+    /// fact has no such field. Only a new fact unshares the rows and drops
+    /// the tree view.
+    fn insert(&mut self, fid: ValueId, store: &ValueStore) -> Inserted {
+        let fields: &[(AttrName, ValueId)] = match store.node(fid) {
+            Node::Tuple(fields) => fields,
+            _ => &[],
+        };
+        let cell = |col: usize| match col.checked_sub(1) {
+            None => fid,
+            Some(a) => fields
+                .binary_search_by_key(&self.attrs[a], |(b, _)| *b)
+                .map_or(ValueId::ABSENT, |i| fields[i].1),
+        };
+        let row = (0..self.attrs.len() + 1).map(|col| Some(cell(col)));
+        let added = with_id_tuple(row, |row| {
+            IdRelation::insert_all(&mut self.rows, row.len(), row, 1)
+        })
+        .expect("every cell is an id")
+        .expect("a fact row fits its relation");
+        if added.new > 0 {
+            self.view.take();
         }
-        self.view.take();
-        Arc::make_mut(&mut self.ids).remove(&id)
+        added
+    }
+
+    /// The facts `keep` accepts, with no index built.
+    fn retain(&self, mut keep: impl FnMut(ValueId) -> bool) -> RelFacts {
+        RelFacts {
+            rows: Arc::new(self.rows.retain(|row| keep(row[0]))),
+            attrs: Arc::clone(&self.attrs),
+            view: OnceLock::new(),
+        }
+    }
+
+    /// The column holding field `attr`, if the layout has one.
+    fn column(&self, attr: AttrName) -> Option<usize> {
+        self.attrs.binary_search(&attr).ok().map(|a| a + 1)
+    }
+
+    /// The built index on field `attr`, if any.
+    fn index(&self, attr: AttrName) -> Option<&ColIndex> {
+        self.rows.index(self.column(attr)?)
     }
 }
 
@@ -147,7 +207,7 @@ impl Instance {
     pub fn new(schema: Arc<Schema>) -> Instance {
         let rels = schema
             .relations()
-            .map(|r| (r, RelFacts::default()))
+            .map(|r| (r, RelFacts::new(&schema, r)))
             .collect();
         let classes = schema.classes().map(|c| (c, Arc::default())).collect();
         Instance {
@@ -159,7 +219,6 @@ impl Instance {
             oid_class: Arc::default(),
             gen: OidGen::new(),
             store: ValueStore::new(),
-            indexes: RelIndexes::default(),
             stats_epoch: 0,
         }
     }
@@ -167,7 +226,7 @@ impl Instance {
     /// Widens this instance to `schema`, of which its own schema must be a
     /// projection: the result holds the same ρ, π and ν, with the relations
     /// and classes only `schema` has starting empty. O(#relations +
-    /// #classes + #indexes): every fact set, `ν`, the built indexes and the
+    /// #classes): every relation with its built indexes, `ν` and the
     /// value store are shared copy-on-write (the store through
     /// [`ValueStore::fork`], so values interned by either side never reach
     /// the other), and value ids keep their numbering.
@@ -181,7 +240,7 @@ impl Instance {
         }
         let mut rels = self.rels.clone();
         for r in schema.relations() {
-            rels.entry(r).or_default();
+            rels.entry(r).or_insert_with(|| RelFacts::new(schema, r));
         }
         let mut classes = self.classes.clone();
         for p in schema.classes() {
@@ -196,7 +255,6 @@ impl Instance {
             oid_class: Arc::clone(&self.oid_class),
             gen: live_oid_floor(&self.oid_class),
             store: self.store.fork(),
-            indexes: self.indexes.clone(),
             stats_epoch: self.stats_epoch,
         })
     }
@@ -215,7 +273,7 @@ impl Instance {
     /// `r`; use [`Instance::relation_ids`] to read without building it.
     pub fn relation(&self, r: RelName) -> Result<&BTreeSet<OValue>> {
         let facts = self.rels.get(&r).ok_or(ModelError::UnknownRelation(r))?;
-        let resolve = || facts.ids.iter().map(|&id| self.store.resolve(id)).collect();
+        let resolve = || facts.ids().map(|id| self.store.resolve(id)).collect();
         Ok(facts.view.get_or_init(|| Arc::new(resolve())))
     }
 
@@ -242,17 +300,17 @@ impl Instance {
 
     /// Id-native variant of [`Instance::insert_unchecked`]: `id` must come
     /// from this instance's [`ValueStore`]. A new fact is folded into `r`'s
-    /// indexes and the statistics epoch.
+    /// built indexes and the statistics epoch.
     pub fn insert_id(&mut self, r: RelName, id: ValueId) -> Result<bool> {
         let facts = self
             .rels
             .get_mut(&r)
             .ok_or(ModelError::UnknownRelation(r))?;
-        if !facts.insert(id) {
+        let added = facts.insert(id, &self.store);
+        if added.new == 0 {
             return Ok(false);
         }
-        let crossed = facts.ids.len().is_power_of_two();
-        if self.indexes.note_insert(r, id, &self.store) || crossed {
+        if added.crossed {
             self.stats_epoch += 1;
         }
         self.reserve_oids_of(id);
@@ -277,12 +335,12 @@ impl Instance {
             .rels
             .get_mut(&r)
             .ok_or(ModelError::UnknownRelation(r))?;
-        if !facts.remove(id) {
+        if !facts.holds(id) {
             return Ok(false);
         }
-        // Deletion breaks the append-only maintenance invariant; drop the
-        // touched relation's indexes and let them rebuild lazily.
-        self.indexes.invalidate(r);
+        // Rows never move in place: the relation is rebuilt without the
+        // fact, and its indexes rebuild lazily.
+        *facts = facts.retain(|fid| fid != id);
         self.stats_epoch += 1;
         Ok(true)
     }
@@ -530,29 +588,27 @@ impl Instance {
         }
         self.stats_epoch += 1;
         // Cascade through relations. Only relations with a fact mentioning
-        // the dead oid are rewritten, and only they lose their indexes; the
-        // rest keep their extents and indexes — still shared with any fork.
+        // the dead oid are rebuilt, and only they lose their indexes; the
+        // rest keep their rows and indexes — still shared with any fork.
         let touched: Vec<RelName> = self
             .rels
             .iter()
-            .filter(|(_, facts)| facts.ids.iter().any(|&id| self.store.mentions_oid(id, oid)))
+            .filter(|(_, facts)| facts.ids().any(|id| self.store.mentions_oid(id, oid)))
             .map(|(r, _)| *r)
             .collect();
         for r in touched {
-            self.indexes.invalidate(r);
-            let old = Arc::clone(&self.rels[&r].ids);
-            let mut ids = BTreeSet::new();
-            for &id in old.iter() {
-                if !self.store.mentions_oid(id, oid) {
-                    ids.insert(id);
-                } else if let Some(clean) = self.store.resolve(id).without_oid(oid) {
-                    ids.insert(self.store.intern(&clean));
+            let old = &self.rels[&r];
+            let dirty: Vec<ValueId> = old
+                .ids()
+                .filter(|&id| self.store.mentions_oid(id, oid))
+                .collect();
+            let mut facts = old.retain(|id| !self.store.mentions_oid(id, oid));
+            for id in dirty {
+                if let Some(clean) = self.store.resolve(id).without_oid(oid) {
+                    let id = self.store.intern(&clean);
+                    facts.insert(id, &self.store);
                 }
             }
-            let facts = RelFacts {
-                ids: Arc::new(ids),
-                view: OnceLock::new(),
-            };
             self.rels.insert(r, facts);
         }
         // Cascade through ν.
@@ -607,9 +663,16 @@ impl Instance {
         self.store.intern(v)
     }
 
-    /// `ρ(R)` as interned ids — the facts [`Instance::relation`] resolves.
-    pub fn relation_ids(&self, r: RelName) -> Result<&BTreeSet<ValueId>> {
+    /// `ρ(R)` as interned ids, in insertion order — the facts
+    /// [`Instance::relation`] resolves.
+    pub fn relation_ids(&self, r: RelName) -> Result<impl ExactSizeIterator<Item = ValueId> + '_> {
         self.id_view().relation_ids(r)
+    }
+
+    /// The rows `ρ(R)` is stored as: column 0 holds the fact ids, and each
+    /// later column one attribute's field ids (see [`Instance`]).
+    pub fn relation_rows(&self, r: RelName) -> Result<&IdRelation> {
+        self.id_view().relation_rows(r)
     }
 
     /// `ν(oid)` as an interned id — the value [`Instance::value`] resolves.
@@ -623,29 +686,25 @@ impl Instance {
     }
 
     // ------------------------------------------------------------------
-    // Secondary indexes and statistics
+    // Column indexes and statistics
     // ------------------------------------------------------------------
 
-    /// The instance's persistent secondary indexes (read-only).
-    pub fn rel_indexes(&self) -> &RelIndexes {
-        &self.indexes
-    }
-
-    /// Builds the `(r, attr)` secondary index if absent; cheap once built.
-    /// Unknown relations are ignored (there is nothing to index). A fresh
-    /// build changes the statistics picture (a new distinct-count census
-    /// exists), so it bumps the stats epoch.
+    /// Builds the index on the `(r, attr)` column if absent; cheap once
+    /// built. Relations without such a column are ignored (there is
+    /// nothing to index). The index is shared with every instance sharing
+    /// the relation, such as a fork. A fresh build changes the statistics
+    /// picture (a new distinct-count census exists), so it bumps the stats
+    /// epoch.
     pub fn ensure_rel_index(&mut self, r: RelName, attr: AttrName) {
-        if let Some(facts) = self.rels.get(&r) {
-            if self.indexes.ensure(r, attr, &facts.ids, &self.store) {
-                self.stats_epoch += 1;
-            }
+        let facts = self.rels.get(&r);
+        if facts.and_then(|f| Some(f.rows.ensure_index(f.column(attr)?))) == Some(true) {
+            self.stats_epoch += 1;
         }
     }
 
-    /// The `(r, attr)` secondary index, if built.
-    pub fn rel_index(&self, r: RelName, attr: AttrName) -> Option<&AttrIndex> {
-        self.indexes.get(r, attr)
+    /// The index on the `(r, attr)` column, if built.
+    pub fn rel_index(&self, r: RelName, attr: AttrName) -> Option<&ColIndex> {
+        self.rels.get(&r)?.index(attr)
     }
 
     /// Cardinality statistics for cost-based planning.
@@ -671,7 +730,6 @@ impl Instance {
             classes: &self.classes,
             nu_ids: &self.nu_ids,
             oid_class: &self.oid_class,
-            indexes: &self.indexes,
         }
     }
 
@@ -687,7 +745,6 @@ impl Instance {
                 classes: &self.classes,
                 nu_ids: &self.nu_ids,
                 oid_class: &self.oid_class,
-                indexes: &self.indexes,
             },
         )
     }
@@ -700,7 +757,7 @@ impl Instance {
     /// cached per-node oid sets instead of re-walking value trees.
     pub fn objects(&self) -> BTreeSet<Oid> {
         let mut out: BTreeSet<Oid> = self.oid_class.keys().copied().collect();
-        for &id in self.fact_ids() {
+        for id in self.fact_ids() {
             out.extend(self.store.oids(id).iter().copied());
         }
         out
@@ -708,18 +765,18 @@ impl Instance {
 
     /// The ids of `o-values(I)`'s roots: every relation fact and every
     /// defined `ν` value.
-    fn fact_ids(&self) -> impl Iterator<Item = &ValueId> {
+    fn fact_ids(&self) -> impl Iterator<Item = ValueId> + '_ {
         self.rels
             .values()
-            .flat_map(|facts| facts.ids.iter())
-            .chain(self.nu_ids.values())
+            .flat_map(RelFacts::ids)
+            .chain(self.nu_ids.values().copied())
     }
 
     /// Calls `visit` once on every distinct interned node of `o-values(I)`
     /// — shared substructure is visited once, not once per occurrence.
     fn for_each_node(&self, mut visit: impl FnMut(&Node)) {
         let mut seen: HashSet<ValueId> = HashSet::new();
-        let mut stack: Vec<ValueId> = self.fact_ids().copied().collect();
+        let mut stack: Vec<ValueId> = self.fact_ids().collect();
         while let Some(id) = stack.pop() {
             if !seen.insert(id) {
                 continue;
@@ -777,7 +834,7 @@ impl Instance {
     /// Total number of ground facts — the instance "size" used for
     /// data-complexity statements (Section 5).
     pub fn fact_count(&self) -> usize {
-        let rel: usize = self.rels.values().map(|facts| facts.ids.len()).sum();
+        let rel: usize = self.rels.values().map(|facts| facts.rows.len()).sum();
         let cls: usize = self.classes.values().map(|set| set.len()).sum();
         let vals: usize = self
             .nu_ids
@@ -864,7 +921,7 @@ impl Instance {
         // Condition 1: ρ(R) ⊆ ⟦T(R)⟧π.
         for (r, facts) in &self.rels {
             let ty = self.schema.relation_type(*r)?;
-            for &id in facts.ids.iter() {
+            for id in facts.ids() {
                 if !ty.member_id(id, &self.store, self) {
                     return Err(ModelError::IllTypedRelation {
                         rel: *r,
@@ -914,7 +971,7 @@ impl Instance {
     // ------------------------------------------------------------------
 
     /// `I[S']` — the projection of the instance onto a projection `sub` of
-    /// its schema (Section 3). The kept relations' fact sets and indexes,
+    /// its schema (Section 3). The kept relations with their indexes,
     /// the kept class extents and the value store are shared, not copied;
     /// `ν` is shared too unless a dropped class holds oids, in which case
     /// it is restricted to the kept oids.
@@ -951,7 +1008,6 @@ impl Instance {
             nu_view,
             oid_class,
             store: self.store.clone(),
-            indexes: self.indexes.restricted(|r| sub.has_relation(r)),
             stats_epoch: self.stats_epoch,
         })
     }
@@ -1045,7 +1101,7 @@ impl Instance {
         let mut out = Instance::new(Arc::clone(&self.schema));
         out.store = self.store.clone();
         for (&r, facts) in &self.rels {
-            for &id in facts.ids.iter() {
+            for id in facts.ids() {
                 let renamed = value(&mut out.store, id);
                 out.insert_id(r, renamed)?;
             }
@@ -1117,7 +1173,6 @@ pub struct IdView<'a> {
     classes: &'a BTreeMap<ClassName, Arc<BTreeSet<Oid>>>,
     nu_ids: &'a BTreeMap<Oid, ValueId>,
     oid_class: &'a BTreeMap<Oid, ClassName>,
-    indexes: &'a RelIndexes,
 }
 
 impl<'a> IdView<'a> {
@@ -1126,9 +1181,20 @@ impl<'a> IdView<'a> {
         self.schema
     }
 
-    /// `ρ(R)` as interned ids.
-    pub fn relation_ids(&self, r: RelName) -> Result<&'a BTreeSet<ValueId>> {
-        shared(self.rels, r, ModelError::UnknownRelation).map(|facts| &*facts.ids)
+    /// `ρ(R)` as interned ids, in insertion order.
+    pub fn relation_ids(&self, r: RelName) -> Result<impl ExactSizeIterator<Item = ValueId> + 'a> {
+        shared(self.rels, r, ModelError::UnknownRelation).map(RelFacts::ids)
+    }
+
+    /// The rows `ρ(R)` is stored as (see [`Instance::relation_rows`]).
+    pub fn relation_rows(&self, r: RelName) -> Result<&'a IdRelation> {
+        shared(self.rels, r, ModelError::UnknownRelation).map(|facts| &*facts.rows)
+    }
+
+    /// Is `id` a fact of `ρ(R)`? A hash probe of the fact id, the key of
+    /// its row.
+    pub fn holds(&self, r: RelName, id: ValueId) -> Result<bool> {
+        shared(self.rels, r, ModelError::UnknownRelation).map(|facts| facts.holds(id))
     }
 
     /// `π(P)` — the extent of class `p`.
@@ -1153,10 +1219,9 @@ impl<'a> IdView<'a> {
             .unwrap_or(false)
     }
 
-    /// The persistent `(r, attr)` secondary index, if built. Snapshot of the
-    /// instance at view creation — safe to probe from parallel workers.
-    pub fn rel_index(&self, r: RelName, attr: AttrName) -> Option<&'a AttrIndex> {
-        self.indexes.get(r, attr)
+    /// The column of `ρ(R)`'s rows holding field `attr`, if any.
+    pub fn rel_column(&self, r: RelName, attr: AttrName) -> Option<usize> {
+        self.rels.get(&r)?.column(attr)
     }
 }
 
@@ -1400,39 +1465,42 @@ mod tests {
     #[test]
     fn stats_epoch_tracks_statistics_changes() {
         let schema = SchemaBuilder::new()
-            .relation("R", TypeExpr::base())
+            .relation("R", TypeExpr::tuple([("a", TypeExpr::base())]))
             .class("P", TypeExpr::set_of(TypeExpr::base()))
             .build()
             .unwrap()
             .into_shared();
         let r = RelName::new("R");
+        let a = |n| OValue::tuple([("a", OValue::int(n))]);
         let mut i = Instance::new(schema);
         assert_eq!(i.stats_epoch(), 0);
         // The first insert crosses the power-of-two extent boundary at 1.
-        i.insert(r, OValue::int(0)).unwrap();
+        i.insert(r, a(0)).unwrap();
         let e1 = i.stats_epoch();
         assert!(e1 > 0);
         // A duplicate changes no statistic.
-        assert!(!i.insert(r, OValue::int(0)).unwrap());
+        assert!(!i.insert(r, a(0)).unwrap());
         assert_eq!(i.stats_epoch(), e1);
         // Extent 2 crosses; extent 3 does not; extent 4 crosses again.
-        i.insert(r, OValue::int(1)).unwrap();
+        i.insert(r, a(1)).unwrap();
         let e2 = i.stats_epoch();
         assert!(e2 > e1);
-        i.insert(r, OValue::int(2)).unwrap();
+        i.insert(r, a(2)).unwrap();
         assert_eq!(i.stats_epoch(), e2, "extent 3 is not a crossing");
-        i.insert(r, OValue::int(3)).unwrap();
+        i.insert(r, a(3)).unwrap();
         let e3 = i.stats_epoch();
         assert!(e3 > e2, "extent 4 is a crossing");
         // A fresh index build is a new distinct-count census; re-ensuring
-        // the same index is not.
+        // the same index is not, and neither is an attribute with no
+        // column.
         i.ensure_rel_index(r, AttrName::new("a"));
         let e4 = i.stats_epoch();
         assert!(e4 > e3);
         i.ensure_rel_index(r, AttrName::new("a"));
+        i.ensure_rel_index(r, AttrName::new("b"));
         assert_eq!(i.stats_epoch(), e4);
         // Removal invalidates indexes and shrinks the extent: always a bump.
-        i.remove(r, &OValue::int(0)).unwrap();
+        i.remove(r, &a(0)).unwrap();
         let e5 = i.stats_epoch();
         assert!(e5 > e4);
         // Class extents participate in planning too: the first oid crosses.
@@ -1495,7 +1563,7 @@ mod tests {
         assert!(j.relation(RelName::new("AncestorOfCelebrity")).is_err());
         // Kept parts are shared, not re-interned.
         let founded = RelName::new("FoundedLineage");
-        assert!(Arc::ptr_eq(&i.rels[&founded].ids, &j.rels[&founded].ids));
+        assert!(Arc::ptr_eq(&i.rels[&founded].rows, &j.rels[&founded].rows));
         assert!(Arc::ptr_eq(&i.nu_ids, &j.nu_ids));
         assert!(i.store.shares_nodes_with(&j.store));
     }
@@ -1677,29 +1745,37 @@ mod tests {
         (i, [ps, pt, undefined])
     }
 
+    /// The fact ids the built `(r, attr)` index lists under `key`, in
+    /// scan order.
+    fn postings(i: &Instance, r: RelName, attr: AttrName, key: ValueId) -> Vec<ValueId> {
+        let rows = i.relation_rows(r).unwrap();
+        let idx = i.rel_index(r, attr).expect("index built");
+        rows.positions(rows.all(), Some((idx, key)))
+            .map(|pos| rows.tuple_at(pos)[0])
+            .collect()
+    }
+
     /// Everything a side of a fork exposes, for before/after comparison.
+    /// Which indexes are built is not part of it: a relation's indexes are
+    /// shared with every instance sharing the relation.
     fn observe(i: &Instance) -> impl PartialEq + fmt::Debug {
-        let postings = i
-            .rel_index(RelName::new("R"), AttrName::new("a"))
-            .map(|idx| {
-                (
-                    idx.distinct_keys(),
-                    (0..8)
-                        .map(|k| {
-                            let key = i
-                                .store()
-                                .lookup(&crate::store::Node::Const(Constant::Int(k)));
-                            key.map_or(0, |key| idx.get(key).len())
-                        })
-                        .collect::<Vec<_>>(),
-                )
-            });
+        let (r, a) = (RelName::new("R"), AttrName::new("a"));
+        let postings = i.rel_index(r, a).map(|idx| {
+            (
+                idx.distinct(),
+                (0..8)
+                    .map(|k| {
+                        let key = i.store().lookup(&Node::Const(Constant::Int(k)));
+                        key.map_or(0, |key| postings(i, r, a, key).len())
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        });
         (
             i.ground_facts(),
             i.store().len(),
             i.store().heap_bytes(),
             i.stats_epoch(),
-            i.rel_indexes().built_count(),
             postings,
             i.gen.peek(),
         )
@@ -1714,8 +1790,7 @@ mod tests {
             let resolved: BTreeSet<OValue> = i
                 .relation_ids(r)
                 .unwrap()
-                .iter()
-                .map(|&id| store.resolve(id))
+                .map(|id| store.resolve(id))
                 .collect();
             assert_eq!(i.relation(r).unwrap(), &resolved, "{what}: stale {r}");
         }
@@ -1732,18 +1807,37 @@ mod tests {
     }
 
     /// Asserts that every built `(r, attr)` index of `i` equals an index
-    /// rebuilt from scratch over `relation_ids(r)`: incremental maintenance
-    /// and invalidation never leave a posting list stale.
+    /// rebuilt from scratch over `relation_ids(r)` and the facts' fields:
+    /// incremental maintenance and invalidation never leave a posting list
+    /// stale.
     fn assert_indexes_match_rebuild(i: &Instance, what: &str) {
         for r in i.schema().relations() {
             let TypeExpr::Tuple(fields) = i.schema().relation_type(r).unwrap() else {
                 continue;
             };
             for &attr in fields.keys() {
-                if let Some(built) = i.rel_index(r, attr) {
-                    let facts = i.relation_ids(r).unwrap().iter().copied();
-                    let rebuilt = AttrIndex::build(attr, facts, i.store());
-                    assert_eq!(built, &rebuilt, "{what}: stale ({r}, {attr}) index");
+                let Some(built) = i.rel_index(r, attr) else {
+                    continue;
+                };
+                let mut rebuilt: BTreeMap<ValueId, Vec<ValueId>> = BTreeMap::new();
+                for fid in i.relation_ids(r).unwrap() {
+                    if let Node::Tuple(fs) = i.store().node(fid) {
+                        if let Some(&(_, key)) = fs.iter().find(|(a, _)| *a == attr) {
+                            rebuilt.entry(key).or_default().push(fid);
+                        }
+                    }
+                }
+                assert_eq!(
+                    built.distinct(),
+                    rebuilt.len(),
+                    "{what}: ({r}, {attr}) keys"
+                );
+                for (key, fids) in rebuilt {
+                    assert_eq!(
+                        postings(i, r, attr, key),
+                        fids,
+                        "{what}: stale ({r}, {attr})"
+                    );
                 }
             }
         }
@@ -1857,12 +1951,10 @@ mod tests {
         assert!(child.relation(s).unwrap().contains(&OValue::int(1)));
         assert!(parent.relation(s).is_err(), "the parent never had S");
 
-        assert!(Arc::ptr_eq(&parent.rels[&r].ids, &child.rels[&r].ids));
+        // R and its (R, a) index are one shared relation.
+        assert!(Arc::ptr_eq(&parent.rels[&r].rows, &child.rels[&r].rows));
+        assert!(child.rel_index(r, a).is_some());
         assert!(Arc::ptr_eq(&parent.classes[&ps], &child.classes[&ps]));
-        assert!(Arc::ptr_eq(
-            parent.indexes.shared(r, a).unwrap(),
-            child.indexes.shared(r, a).unwrap()
-        ));
         assert!(parent.store.shares_nodes_with(&child.store));
         // Inventing in PW wrote π's inverse and ν: those were copied.
         assert!(!Arc::ptr_eq(&parent.oid_class, &child.oid_class));
@@ -1874,15 +1966,17 @@ mod tests {
         assert_eq!(back, parent);
         assert_eq!(back.value_id_map(), parent.value_id_map());
         assert_eq!(back.class_of(w), None);
-        assert!(Arc::ptr_eq(&back.rels[&r].ids, &parent.rels[&r].ids));
+        assert!(Arc::ptr_eq(&back.rels[&r].rows, &parent.rels[&r].rows));
 
         // The first write to R unshares R (and its index), nothing else.
         child.insert(r, rab(1, 7)).unwrap();
-        assert!(!Arc::ptr_eq(&parent.rels[&r].ids, &child.rels[&r].ids));
-        assert!(!Arc::ptr_eq(
-            parent.indexes.shared(r, a).unwrap(),
-            child.indexes.shared(r, a).unwrap()
-        ));
+        assert!(!Arc::ptr_eq(&parent.rels[&r].rows, &child.rels[&r].rows));
+        let one = child
+            .store()
+            .lookup(&Node::Const(Constant::Int(1)))
+            .unwrap();
+        assert_eq!(postings(&child, r, a, one).len(), 2);
+        assert_eq!(postings(&parent, r, a, one).len(), 1);
         assert!(Arc::ptr_eq(&parent.classes[&ps], &child.classes[&ps]));
         assert!(parent.store.shares_nodes_with(&child.store));
     }
@@ -1896,10 +1990,10 @@ mod tests {
         assert_eq!(child.store().len(), parent.store().len());
         assert_eq!(child.stats_epoch(), parent.stats_epoch());
         let r = RelName::new("R");
-        assert_eq!(
-            child.relation_ids(r).unwrap(),
-            parent.relation_ids(r).unwrap()
-        );
+        assert!(child
+            .relation_ids(r)
+            .unwrap()
+            .eq(parent.relation_ids(r).unwrap()));
         assert_eq!(child.value_id_map(), parent.value_id_map());
         assert!(child.relation(RelName::new("S")).unwrap().is_empty());
         assert!(child.class(ClassName::new("PW")).unwrap().is_empty());
@@ -1950,14 +2044,11 @@ mod tests {
         let a = AttrName::new("a");
         let mut copy = parent.clone();
         assert_eq!(copy, parent);
-        assert!(Arc::ptr_eq(&parent.rels[&r].ids, &copy.rels[&r].ids));
-        assert!(Arc::ptr_eq(
-            parent.indexes.shared(r, a).unwrap(),
-            copy.indexes.shared(r, a).unwrap()
-        ));
+        assert!(Arc::ptr_eq(&parent.rels[&r].rows, &copy.rels[&r].rows));
+        assert!(copy.rel_index(r, a).is_some());
         let before = observe(&parent);
         copy.insert(r, rab(5, 5)).unwrap();
         assert_eq!(observe(&parent), before);
-        assert_eq!(copy.rel_index(r, a).unwrap().distinct_keys(), 5);
+        assert_eq!(copy.rel_index(r, a).unwrap().distinct(), 5);
     }
 }

@@ -41,7 +41,7 @@ fn refine_colors(inst: &Instance) -> BTreeMap<Oid, Color> {
     let mut occurrences: BTreeMap<Oid, Vec<(RelName, ValueId)>> =
         oids.iter().map(|&o| (o, Vec::new())).collect();
     for r in inst.schema().relations() {
-        for &fid in inst.relation_ids(r).expect("schema relation") {
+        for fid in inst.relation_ids(r).expect("schema relation") {
             for &o in store.oids(fid) {
                 if let Some(list) = occurrences.get_mut(&o) {
                     list.push((r, fid));

@@ -14,6 +14,9 @@
 //!   `(ρ, π, ν)` with disjoint oid assignments and a partial value map
 //!   (Definitions 2.3.1 and 2.3.2), including the `ground-facts`
 //!   representation and instance validation.
+//! * [`relation`] — [`IdRelation`], the one relation store: rows of
+//!   interned ids with hash-chained membership and incremental column
+//!   indexes. IQL's `ρ` and the Datalog engine's database both use it.
 //! * [`iso`] — O-isomorphism and DO-isomorphism testing (Section 4.1), the
 //!   equivalence under which IQL programs are determinate.
 //! * [`inherit`] — isa hierarchies, inherited oid assignments, and the
@@ -29,12 +32,12 @@ pub mod chains;
 pub mod constant;
 pub mod error;
 pub mod idgen;
-pub mod index;
 pub mod inherit;
 pub mod instance;
 pub mod iso;
 pub mod names;
 pub mod ovalue;
+pub mod relation;
 pub mod schema;
 pub mod stats;
 pub mod store;
@@ -44,11 +47,11 @@ pub use chains::HashChains;
 pub use constant::Constant;
 pub use error::ModelError;
 pub use idgen::{Oid, OidGen};
-pub use index::{AttrIndex, RelIndexes};
 pub use inherit::{IsaHierarchy, SchemaWithIsa};
 pub use instance::{GroundFact, IdView, Instance};
 pub use names::{AttrName, ClassName, RelName};
 pub use ovalue::OValue;
+pub use relation::{ArityMismatch, ColIndex, IdRelation, Inserted};
 pub use schema::{Schema, SchemaBuilder};
 pub use stats::InstanceStats;
 pub use store::{Node, Overlay, OverlayLog, ValueId, ValueInterner, ValueReader, ValueStore};

@@ -1,14 +1,15 @@
 //! Cheap cardinality statistics over an instance, for cost-based planning.
 //!
 //! Everything here is O(1) reads off state the instance already maintains:
-//! relation extents and class extents are `BTreeSet` lengths, and
-//! per-attribute distinct counts come from the persistent secondary indexes
-//! (a built index *is* a distinct-key census of its attribute). No sampling,
-//! no histograms — the planner only needs coarse relative sizes to avoid
-//! pathological join orders, and these are exact.
+//! a relation's size is its row count, a class extent's is its `BTreeSet`
+//! length, and per-attribute distinct counts come from the relation's
+//! built column indexes (a built index *is* a distinct-key census of its
+//! column). No sampling, no histograms — the planner only needs coarse
+//! relative sizes to avoid pathological join orders, and these are exact.
 
 use crate::instance::Instance;
 use crate::names::{AttrName, ClassName, RelName};
+use crate::relation::ColIndex;
 
 /// A read-only statistics view over one instance.
 #[derive(Clone, Copy)]
@@ -32,10 +33,10 @@ impl<'a> InstanceStats<'a> {
     }
 
     /// Distinct values of `attr` across `ρ(R)` — available exactly when the
-    /// `(r, attr)` index is built (the planner ensures indexes for every
-    /// probe candidate before reading this).
+    /// `(r, attr)` column index is built (the planner ensures indexes for
+    /// every probe candidate before reading this).
     pub fn attr_distinct(&self, r: RelName, attr: AttrName) -> Option<usize> {
-        self.inst.rel_indexes().attr_distinct(r, attr)
+        self.inst.rel_index(r, attr).map(ColIndex::distinct)
     }
 
     /// Estimated facts of `R` matching a probe on `attr`: `len / distinct`,

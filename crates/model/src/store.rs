@@ -53,6 +53,11 @@ use std::sync::{Arc, OnceLock};
 pub struct ValueId(u32);
 
 impl ValueId {
+    /// The one id no store hands out. A relation row holds it in a field
+    /// column where the fact lacks that attribute (see
+    /// [`crate::relation`]).
+    pub const ABSENT: ValueId = ValueId(u32::MAX);
+
     /// The raw index into the arena. For display and external maps only.
     pub fn raw(self) -> u32 {
         self.0
@@ -367,6 +372,7 @@ impl Layer {
     /// to be absent from the whole stack.
     fn push(&mut self, h: u64, node: Node, meta: Meta) -> ValueId {
         let id = ValueId(self.end());
+        assert!(id != ValueId::ABSENT, "value store exhausted");
         self.heap_bytes += node_heap_bytes(&node, &meta.oids);
         self.chains.push(h);
         self.nodes.push(node);

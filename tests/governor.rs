@@ -8,6 +8,7 @@ use iql::datalog::{
     eval_governed as dl_eval_governed, eval_with as dl_eval_with, parse_program, Database, DlError,
     Strategy,
 };
+use iql::exec::TEST_PANIC_RULE;
 use iql::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -303,14 +304,13 @@ fn budget_partial_is_a_prefix_of_a_longer_run() {
 // IQL: contained worker panics
 // ---------------------------------------------------------------------
 
+/// Injected through the same thread-local hook as the Datalog case below.
 #[test]
 fn worker_panic_is_contained_and_sibling_rules_survive() {
+    TEST_PANIC_RULE.set(0);
     for threads in [1usize, 2] {
         let (prog, inst) = parsed(TWO_RULES);
-        let cfg = EvalConfig::builder()
-            .threads(threads)
-            .test_panic_rule(0)
-            .build();
+        let cfg = EvalConfig::builder().threads(threads).build();
         let aborted = expect_aborted(
             Engine::new(prog)
                 .with_config(cfg)
@@ -335,6 +335,7 @@ fn worker_panic_is_contained_and_sibling_rules_survive() {
         );
         assert_eq!(aborted.reason.exit_code(), 101);
     }
+    TEST_PANIC_RULE.set(usize::MAX);
 }
 
 // ---------------------------------------------------------------------
@@ -437,7 +438,6 @@ fn datalog_deadline_stops_a_heavy_closure() {
 /// this test's evaluations and no evaluation of a concurrently running test.
 #[test]
 fn datalog_worker_panic_is_contained() {
-    use iql::datalog::engine::TEST_PANIC_RULE;
     let prog = parse_program("A(y) :- Edge(x, y). B(x) :- Edge(x, y).").unwrap();
     let edb = dl_chain(3);
     TEST_PANIC_RULE.set(0);

@@ -3,6 +3,7 @@
 
 #![deny(deprecated)]
 
+use iql::model::{Node, ValueReader};
 use iql::prelude::*;
 use std::sync::Arc;
 
@@ -185,8 +186,9 @@ fn insert_then_delete_across_stages_is_deterministic() {
     assert_eq!(out.report.facts_deleted, 1);
 }
 
-/// Asserts that every built `(r, attr)` index of `inst` equals an index
-/// rebuilt from scratch over the relation's current facts, and returns how
+/// Asserts that every built `(r, attr)` column index of `inst` equals an
+/// index rebuilt from scratch over the relation's current rows, lists
+/// exactly the facts whose `attr` field holds each key, and returns how
 /// many were checked.
 fn assert_indexes_match_rebuild(inst: &Instance) -> usize {
     let mut checked = 0;
@@ -194,13 +196,31 @@ fn assert_indexes_match_rebuild(inst: &Instance) -> usize {
         let TypeExpr::Tuple(fields) = inst.schema().relation_type(r).unwrap() else {
             continue;
         };
+        let rows = inst.relation_rows(r).unwrap();
         for &attr in fields.keys() {
-            if let Some(built) = inst.rel_index(r, attr) {
-                let facts = inst.relation_ids(r).unwrap().iter().copied();
-                let rebuilt = iql::model::AttrIndex::build(attr, facts, inst.store());
-                assert_eq!(built, &rebuilt, "stale ({r}, {attr}) index");
-                checked += 1;
+            let Some(built) = inst.rel_index(r, attr) else {
+                continue;
+            };
+            let col = inst
+                .id_view()
+                .rel_column(r, attr)
+                .expect("an indexed attribute has a column");
+            assert_eq!(
+                built,
+                &rows.index_over(col, rows.all()),
+                "stale ({r}, {attr}) index"
+            );
+            for fid in inst.relation_ids(r).unwrap() {
+                let Node::Tuple(fs) = inst.store().node(fid) else {
+                    panic!("({r}) holds a non-tuple fact {fid:?}")
+                };
+                let (_, key) = fs.iter().find(|(a, _)| *a == attr).expect("typed fact");
+                let listed = rows
+                    .positions(rows.all(), Some((built, *key)))
+                    .any(|pos| rows.tuple_at(pos)[0] == fid);
+                assert!(listed, "({r}, {attr}) misses {fid:?}");
             }
+            checked += 1;
         }
     }
     checked

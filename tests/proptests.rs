@@ -9,7 +9,7 @@
 #![deny(deprecated)]
 
 use iql::model::types::{ClassMap, EnumUniverse};
-use iql::model::{Oid, OidGen};
+use iql::model::{Node, Oid, OidGen, ValueReader};
 use iql::prelude::*;
 use iql_testkit::{check, Rng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -1131,6 +1131,148 @@ fn rule_order_within_a_stage_is_unobservable() {
                     .map(|(&(s, j), &n)| ((s, perms[s][j]), n))
                     .collect();
                 assert_eq!(ra.rule_fires, fires, "{label}");
+            }
+        }
+    });
+}
+
+// ---------------------------------------------------------------------
+// IQL relations on the shared row store
+// ---------------------------------------------------------------------
+
+/// Every built column index of `inst` lists, under each key, exactly the
+/// facts whose field holds that key, in scan order, and nothing else: the
+/// index equals one rebuilt from scratch over the facts. A fact that lacks
+/// the attribute is in no posting list.
+fn assert_indexes_match_facts(inst: &Instance, what: &str) {
+    for r in inst.schema().relations() {
+        let rows = inst.relation_rows(r).unwrap();
+        for attr in ["a", "b"].map(AttrName::new) {
+            let Some(built) = inst.rel_index(r, attr) else {
+                continue;
+            };
+            let mut want: BTreeMap<_, Vec<_>> = BTreeMap::new();
+            for fid in inst.relation_ids(r).unwrap() {
+                if let Node::Tuple(fields) = inst.store().node(fid) {
+                    if let Some(&(_, key)) = fields.iter().find(|(a, _)| *a == attr) {
+                        want.entry(key).or_default().push(fid);
+                    }
+                }
+            }
+            assert_eq!(built.distinct(), want.len(), "{what}: ({r}, {attr}) keys");
+            for (key, fids) in want {
+                let got: Vec<_> = rows
+                    .positions(rows.all(), Some((built, key)))
+                    .map(|pos| rows.tuple_at(pos)[0])
+                    .collect();
+                assert_eq!(got, fids, "{what}: ({r}, {attr}) postings");
+            }
+        }
+    }
+}
+
+/// Membership, `relation()` and `relation_ids` all agree with `model`.
+fn assert_relations_match(
+    inst: &Instance,
+    model: &BTreeMap<RelName, BTreeSet<OValue>>,
+    what: &str,
+) {
+    let view = inst.id_view();
+    for (&r, want) in model {
+        assert_eq!(inst.relation(r).unwrap(), want, "{what}: relation({r})");
+        let ids: Vec<_> = inst.relation_ids(r).unwrap().collect();
+        let resolved: BTreeSet<OValue> = ids.iter().map(|&id| inst.store().resolve(id)).collect();
+        assert_eq!(ids.len(), want.len(), "{what}: {r} holds a duplicate");
+        assert_eq!(&resolved, want, "{what}: relation_ids({r})");
+        for id in ids {
+            assert_eq!(view.holds(r, id), Ok(true), "{what}: {r} membership");
+        }
+    }
+}
+
+#[test]
+fn instance_relations_match_a_set_model() {
+    let schema = SchemaBuilder::new()
+        .relation(
+            "R",
+            TypeExpr::tuple([("a", TypeExpr::base()), ("b", TypeExpr::base())]),
+        )
+        .relation(
+            "U",
+            TypeExpr::union(
+                TypeExpr::tuple([("a", TypeExpr::base())]),
+                TypeExpr::tuple([("b", TypeExpr::base())]),
+            ),
+        )
+        .build()
+        .unwrap()
+        .into_shared();
+    let rels = [RelName::new("R"), RelName::new("U")];
+    let int = |rng: &mut Rng| OValue::int(rng.below(4) as i64);
+    // A value for `r`: well-typed, or an ill-typed one that lacks an
+    // attribute, carries one too many, or is no tuple at all.
+    let value = |rng: &mut Rng, r: RelName, typed: bool| match (r.as_str(), typed) {
+        ("R", true) => OValue::tuple([("a", int(rng)), ("b", int(rng))]),
+        ("R", false) if rng.chance(0.5) => OValue::tuple([("a", int(rng))]),
+        ("R", false) => int(rng),
+        (_, true) if rng.chance(0.5) => OValue::tuple([("a", int(rng))]),
+        (_, true) => OValue::tuple([("b", int(rng))]),
+        (_, false) => OValue::tuple([("a", int(rng)), ("b", int(rng))]),
+    };
+    check("instance_relations_match_a_set_model", 48, |rng| {
+        let mut inst = Instance::new(Arc::clone(&schema));
+        let mut model: BTreeMap<RelName, BTreeSet<OValue>> =
+            rels.iter().map(|&r| (r, BTreeSet::new())).collect();
+        // Forks taken so far: each parent with the model it must keep.
+        let mut parents: Vec<(Instance, BTreeMap<RelName, BTreeSet<OValue>>)> = Vec::new();
+        for step in 0..40 {
+            let r = rels[rng.below(2)];
+            let what = match rng.below(10) {
+                0..=3 => {
+                    let v = value(rng, r, true);
+                    let fresh = model.get_mut(&r).unwrap().insert(v.clone());
+                    assert_eq!(inst.insert(r, v).unwrap(), fresh);
+                    "insert"
+                }
+                4 => {
+                    let typed = rng.chance(0.3);
+                    let v = value(rng, r, typed);
+                    let fresh = model.get_mut(&r).unwrap().insert(v.clone());
+                    assert_eq!(inst.insert_unchecked(r, v).unwrap(), fresh);
+                    "insert_unchecked"
+                }
+                5 | 6 => {
+                    let typed = rng.chance(0.8);
+                    let v = value(rng, r, typed);
+                    let present = model.get_mut(&r).unwrap().remove(&v);
+                    assert_eq!(inst.remove(r, &v).unwrap(), present);
+                    "remove"
+                }
+                7 => {
+                    let child = inst.fork(&schema).unwrap();
+                    parents.push((std::mem::replace(&mut inst, child), model.clone()));
+                    if parents.len() > 3 {
+                        parents.remove(0);
+                    }
+                    "fork"
+                }
+                _ => {
+                    let attr = AttrName::new(["a", "b", "c"][rng.below(3)]);
+                    inst.ensure_rel_index(r, attr);
+                    "ensure_rel_index"
+                }
+            };
+            let what = format!("step {step} ({what} on {r})");
+            assert_relations_match(&inst, &model, &what);
+            assert_indexes_match_facts(&inst, &what);
+            let typed = model.iter().all(|(&r, vs)| {
+                vs.iter()
+                    .all(|v| schema.relation_type(r).unwrap().member(v, &inst))
+            });
+            assert_eq!(inst.validate().is_ok(), typed, "{what}: validate");
+            for (parent, kept) in &parents {
+                assert_relations_match(parent, kept, &format!("{what}, parent"));
+                assert_indexes_match_facts(parent, &format!("{what}, parent"));
             }
         }
     });
