@@ -35,9 +35,9 @@ pub(crate) fn constant(store: &ValueStore, id: ValueId) -> &Constant {
     }
 }
 
-/// The id of `c`, if `store` interned it.
+/// The id of `c`, if `store` interned it. Clones nothing.
 pub(crate) fn lookup_constant(store: &ValueStore, c: &Constant) -> Option<ValueId> {
-    store.lookup(&Node::Const(c.clone()))
+    store.lookup_const(c)
 }
 
 /// A database over interned relations. Cloning shares every relation.

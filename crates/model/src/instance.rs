@@ -22,7 +22,7 @@ use crate::error::ModelError;
 use crate::idgen::{Oid, OidGen};
 use crate::names::{AttrName, ClassName, RelName};
 use crate::ovalue::OValue;
-use crate::relation::{with_id_tuple, ColIndex, IdRelation, Inserted};
+use crate::relation::{ColIndex, IdRelation, Inserted};
 use crate::schema::Schema;
 use crate::stats::InstanceStats;
 use crate::store::{Node, Overlay, ValueId, ValueInterner, ValueReader, ValueStore};
@@ -30,6 +30,7 @@ use crate::types::{ClassMap, EnumUniverse, OidClasses, TypeExpr};
 use crate::Result;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// One ground fact of the logic-programming representation of an instance
@@ -111,6 +112,10 @@ pub struct Instance {
     /// does, a new index is built, or facts are deleted. Cached plans keyed
     /// by this epoch stay valid exactly while it holds still.
     stats_epoch: u64,
+    /// Set once [`Instance::validate`] has passed, and cleared by every
+    /// write to ρ, π or ν, so a snapshot that is validated again and again
+    /// (one per request) is checked once.
+    valid: OnceLock<()>,
 }
 
 /// One relation's facts: their rows, which are the state, with the
@@ -155,27 +160,23 @@ impl RelFacts {
         self.rows.contains(&[fid])
     }
 
-    /// Adds `fid`, whose node `store` resolves, as the row of `fid` and
-    /// the id of each attribute's field, or [`ValueId::ABSENT`] where the
-    /// fact has no such field. Only a new fact unshares the rows and drops
-    /// the tree view.
-    fn insert(&mut self, fid: ValueId, store: &ValueStore) -> Inserted {
-        let fields: &[(AttrName, ValueId)] = match store.node(fid) {
-            Node::Tuple(fields) => fields,
-            _ => &[],
-        };
-        let cell = |col: usize| match col.checked_sub(1) {
-            None => fid,
-            Some(a) => fields
-                .binary_search_by_key(&self.attrs[a], |(b, _)| *b)
-                .map_or(ValueId::ABSENT, |i| fields[i].1),
-        };
-        let row = (0..self.attrs.len() + 1).map(|col| Some(cell(col)));
-        let added = with_id_tuple(row, |row| {
-            IdRelation::insert_all(&mut self.rows, row.len(), row, 1)
-        })
-        .expect("every cell is an id")
-        .expect("a fact row fits its relation");
+    /// The row layout of this relation.
+    fn layout(&self) -> RowLayout<'_> {
+        RowLayout { attrs: &self.attrs }
+    }
+
+    /// Appends those of the `count` rows of `rows` (see
+    /// [`Instance::insert_rows`]) that are not facts yet. Only a new fact
+    /// unshares the rows and drops the tree view.
+    fn insert_rows(&mut self, rows: &[ValueId], count: usize) -> Inserted {
+        let arity = self.layout().arity();
+        assert_eq!(
+            rows.len(),
+            count * arity,
+            "whole rows of the relation's layout"
+        );
+        let added = IdRelation::insert_all(&mut self.rows, arity, rows, count)
+            .expect("a fact row fits its relation");
         if added.new > 0 {
             self.view.take();
         }
@@ -202,6 +203,67 @@ impl RelFacts {
     }
 }
 
+/// How an IQL relation lays out a fact as a row (see [`Instance`]): the
+/// fact id, then one column per attribute of the layout, in attribute
+/// order, holding the fact's field id or [`ValueId::ABSENT`].
+#[derive(Clone, Copy, Debug)]
+pub struct RowLayout<'a> {
+    attrs: &'a [AttrName],
+}
+
+impl<'a> RowLayout<'a> {
+    /// Ids per row: the fact id and one per field column.
+    pub fn arity(&self) -> usize {
+        1 + self.attrs.len()
+    }
+
+    /// Writes the row of fact `fid` into `row`, which holds
+    /// [`RowLayout::arity`] ids. `fields` are the fact's tuple entries,
+    /// sorted by attribute, or empty if it is no tuple.
+    pub fn write_row(&self, row: &mut [ValueId], fid: ValueId, fields: &[(AttrName, ValueId)]) {
+        row[0] = fid;
+        for (cell, a) in row[1..].iter_mut().zip(self.attrs) {
+            *cell = fields
+                .binary_search_by_key(a, |(b, _)| *b)
+                .map_or(ValueId::ABSENT, |i| fields[i].1);
+        }
+    }
+
+    /// [`RowLayout::write_row`] for the fact `fid`, whose node `reader`
+    /// resolves.
+    pub fn write_fact<R: ValueReader + ?Sized>(
+        &self,
+        row: &mut [ValueId],
+        fid: ValueId,
+        reader: &R,
+    ) {
+        match reader.node(fid) {
+            Node::Tuple(fields) => self.write_row(row, fid, fields),
+            _ => self.write_row(row, fid, &[]),
+        }
+    }
+
+    /// Appends the row of fact `fid` to `out` (see
+    /// [`RowLayout::write_row`]).
+    pub fn push_row(&self, out: &mut Vec<ValueId>, fid: ValueId, fields: &[(AttrName, ValueId)]) {
+        let start = out.len();
+        out.resize(start + self.arity(), ValueId::ABSENT);
+        self.write_row(&mut out[start..], fid, fields);
+    }
+
+    /// Appends the row of fact `fid`, whose node `reader` resolves.
+    pub fn push_fact<R: ValueReader + ?Sized>(
+        &self,
+        out: &mut Vec<ValueId>,
+        fid: ValueId,
+        reader: &R,
+    ) {
+        let start = out.len();
+        out.resize(start + self.arity(), ValueId::ABSENT);
+        self.write_fact(&mut out[start..], fid, reader);
+    }
+}
+
 impl Instance {
     /// An empty instance of `schema`: all relations and classes empty.
     pub fn new(schema: Arc<Schema>) -> Instance {
@@ -220,6 +282,7 @@ impl Instance {
             gen: OidGen::new(),
             store: ValueStore::new(),
             stats_epoch: 0,
+            valid: OnceLock::new(),
         }
     }
 
@@ -256,6 +319,7 @@ impl Instance {
             gen: live_oid_floor(&self.oid_class),
             store: self.store.fork(),
             stats_epoch: self.stats_epoch,
+            valid: OnceLock::new(),
         })
     }
 
@@ -306,15 +370,69 @@ impl Instance {
             .rels
             .get_mut(&r)
             .ok_or(ModelError::UnknownRelation(r))?;
-        let added = facts.insert(id, &self.store);
-        if added.new == 0 {
-            return Ok(false);
+        // Rows of up to eight ids are built on the stack.
+        let arity = facts.layout().arity();
+        let mut small = [ValueId::ABSENT; 8];
+        let mut big = Vec::new();
+        let row = match small.get_mut(..arity) {
+            Some(row) => row,
+            None => {
+                big.resize(arity, ValueId::ABSENT);
+                &mut big[..]
+            }
+        };
+        facts.layout().write_fact(row, id, &self.store);
+        let added = facts.insert_rows(row, 1);
+        self.wrote(added);
+        if added.new > 0 {
+            self.reserve_oids_of(id);
         }
-        if added.crossed {
-            self.stats_epoch += 1;
+        Ok(added.new > 0)
+    }
+
+    /// Adds to `ρ(R)` the facts of the rows that `rows` holds back to back,
+    /// in order, skipping those already present, with one write to the
+    /// relation and its built indexes. Each row must be a fact id from
+    /// this instance's [`ValueStore`] followed by its field columns, as
+    /// [`RowLayout::push_row`] lays them out for `r`. Returns the positions
+    /// of the rows added: they are consecutive.
+    pub fn insert_rows(&mut self, r: RelName, rows: &[ValueId]) -> Result<Range<u32>> {
+        let facts = self
+            .rels
+            .get_mut(&r)
+            .ok_or(ModelError::UnknownRelation(r))?;
+        let arity = facts.layout().arity();
+        debug_assert!(
+            rows.chunks(arity).all(|row| {
+                let mut want = Vec::with_capacity(arity);
+                facts.layout().push_fact(&mut want, row[0], &self.store);
+                *row == want
+            }),
+            "each row is its fact id and the fact's fields"
+        );
+        let start = facts.rows.all().end;
+        let added = facts.insert_rows(rows, rows.len() / arity);
+        let new = start..facts.rows.all().end;
+        // Keep the oid generator above the new facts' oids (see
+        // `reserve_oids_of`).
+        for pos in new.clone() {
+            for &o in self.store.oids(facts.rows.tuple_at(pos)[0]) {
+                self.gen.reserve_above(o);
+            }
         }
-        self.reserve_oids_of(id);
-        Ok(true)
+        self.wrote(added);
+        Ok(new)
+    }
+
+    /// Folds a write to a relation into the statistics epoch and the
+    /// validation memo.
+    fn wrote(&mut self, added: Inserted) {
+        if added.new > 0 {
+            if added.crossed {
+                self.stats_epoch += 1;
+            }
+            self.valid.take();
+        }
     }
 
     /// Removes `v` from `ρ(R)`; returns whether it was present. A value the
@@ -342,6 +460,7 @@ impl Instance {
         // fact, and its indexes rebuild lazily.
         *facts = facts.retain(|fid| fid != id);
         self.stats_epoch += 1;
+        self.valid.take();
         Ok(true)
     }
 
@@ -388,6 +507,7 @@ impl Instance {
                 oid: oid.raw(),
             });
         }
+        self.valid.take();
         Arc::make_mut(&mut self.oid_class).insert(oid, p);
         let extent = Arc::make_mut(
             self.classes
@@ -442,9 +562,11 @@ impl Instance {
         })
     }
 
-    /// `ν` for writing: unshared, with the tree view dropped.
+    /// `ν` for writing: unshared, with the tree view and the validation
+    /// memo dropped.
     fn nu_mut(&mut self) -> &mut BTreeMap<Oid, ValueId> {
         self.nu_view.take();
+        self.valid.take();
         Arc::make_mut(&mut self.nu_ids)
     }
 
@@ -581,6 +703,7 @@ impl Instance {
         let Some(class) = self.class_of(oid) else {
             return Ok(());
         };
+        self.valid.take();
         Arc::make_mut(self.classes.get_mut(&class).expect("class exists")).remove(&oid);
         Arc::make_mut(&mut self.oid_class).remove(&oid);
         if self.nu_ids.contains_key(&oid) {
@@ -603,12 +726,15 @@ impl Instance {
                 .filter(|&id| self.store.mentions_oid(id, oid))
                 .collect();
             let mut facts = old.retain(|id| !self.store.mentions_oid(id, oid));
+            let (mut rows, mut count) = (Vec::new(), 0);
             for id in dirty {
                 if let Some(clean) = self.store.resolve(id).without_oid(oid) {
                     let id = self.store.intern(&clean);
-                    facts.insert(id, &self.store);
+                    facts.layout().push_fact(&mut rows, id, &self.store);
+                    count += 1;
                 }
             }
+            facts.insert_rows(&rows, count);
             self.rels.insert(r, facts);
         }
         // Cascade through ν.
@@ -917,7 +1043,21 @@ impl Instance {
     /// Checks all conditions of Definition 2.3.2 plus the closure condition
     /// that every occurring oid belongs to some class. Values are checked
     /// on their interned form and resolved only to report a violation.
+    ///
+    /// A pass is remembered until the next write to ρ, π or ν (a clone
+    /// keeps it; a fork, projection or renaming starts without it), so
+    /// validating an unchanged snapshot again costs nothing. A failure is
+    /// not remembered: it is found again on every call.
     pub fn validate(&self) -> Result<()> {
+        if self.valid.get().is_none() {
+            self.check()?;
+            let _ = self.valid.set(());
+        }
+        Ok(())
+    }
+
+    /// The checks of [`Instance::validate`], always run.
+    fn check(&self) -> Result<()> {
         // Condition 1: ρ(R) ⊆ ⟦T(R)⟧π.
         for (r, facts) in &self.rels {
             let ty = self.schema.relation_type(*r)?;
@@ -1009,6 +1149,7 @@ impl Instance {
             oid_class,
             store: self.store.clone(),
             stats_epoch: self.stats_epoch,
+            valid: OnceLock::new(),
         })
     }
 
@@ -1189,6 +1330,11 @@ impl<'a> IdView<'a> {
     /// The rows `ρ(R)` is stored as (see [`Instance::relation_rows`]).
     pub fn relation_rows(&self, r: RelName) -> Result<&'a IdRelation> {
         shared(self.rels, r, ModelError::UnknownRelation).map(|facts| &*facts.rows)
+    }
+
+    /// How `ρ(R)` lays out a fact as a row.
+    pub fn row_layout(&self, r: RelName) -> Result<RowLayout<'a>> {
+        shared(self.rels, r, ModelError::UnknownRelation).map(RelFacts::layout)
     }
 
     /// Is `id` a fact of `ρ(R)`? A hash probe of the fact id, the key of
@@ -2050,5 +2196,55 @@ mod tests {
         copy.insert(r, rab(5, 5)).unwrap();
         assert_eq!(observe(&parent), before);
         assert_eq!(copy.rel_index(r, a).unwrap().distinct(), 5);
+    }
+
+    /// A batch of rows lands as one-at-a-time inserts would: duplicates
+    /// (in the batch or already stored) are skipped, the added rows are
+    /// consecutive, built indexes follow, and union layouts hold
+    /// `ValueId::ABSENT` where a fact lacks an attribute.
+    #[test]
+    fn insert_rows_matches_insert_id() {
+        let schema = SchemaBuilder::new()
+            .relation(
+                "U",
+                TypeExpr::union(
+                    TypeExpr::tuple([("a", TypeExpr::base())]),
+                    TypeExpr::tuple([("a", TypeExpr::base()), ("b", TypeExpr::base())]),
+                ),
+            )
+            .build()
+            .unwrap()
+            .into_shared();
+        let u = RelName::new("U");
+        let values = [
+            OValue::tuple([("a", OValue::int(1))]),
+            OValue::tuple([("a", OValue::int(1)), ("b", OValue::int(2))]),
+            OValue::tuple([("a", OValue::int(1))]),
+            OValue::tuple([("a", OValue::int(3))]),
+        ];
+        let mut one = Instance::new(Arc::clone(&schema));
+        one.insert(u, values[0].clone()).unwrap();
+        one.ensure_rel_index(u, AttrName::new("a"));
+        let mut batch = one.clone();
+        for v in &values {
+            one.insert(u, v.clone()).unwrap();
+        }
+        let mut rows = Vec::new();
+        for v in &values {
+            let fid = batch.intern_value(v);
+            let layout = batch.id_view().row_layout(u).unwrap();
+            assert_eq!(layout.arity(), 3);
+            layout.push_fact(&mut rows, fid, batch.store());
+        }
+        assert_eq!(rows[2], ValueId::ABSENT, "the first fact has no b");
+        assert_eq!(batch.insert_rows(u, &rows).unwrap(), 1..3);
+        assert_eq!(batch.insert_rows(u, &rows).unwrap(), 3..3, "all present");
+        assert_eq!(
+            batch.relation_ids(u).unwrap().collect::<Vec<_>>(),
+            one.relation_ids(u).unwrap().collect::<Vec<_>>()
+        );
+        assert_eq!(batch.relation_rows(u).unwrap().tuple_at(1), &rows[3..6]);
+        assert_eq!(batch.relation(u).unwrap(), one.relation(u).unwrap());
+        assert_indexes_match_rebuild(&batch, "after a batch");
     }
 }

@@ -48,13 +48,15 @@ pub use constant::Constant;
 pub use error::ModelError;
 pub use idgen::{Oid, OidGen};
 pub use inherit::{IsaHierarchy, SchemaWithIsa};
-pub use instance::{GroundFact, IdView, Instance};
+pub use instance::{GroundFact, IdView, Instance, RowLayout};
 pub use names::{AttrName, ClassName, RelName};
 pub use ovalue::OValue;
 pub use relation::{ArityMismatch, ColIndex, IdRelation, Inserted};
 pub use schema::{Schema, SchemaBuilder};
 pub use stats::InstanceStats;
-pub use store::{Node, Overlay, OverlayLog, ValueId, ValueInterner, ValueReader, ValueStore};
+pub use store::{
+    Node, NodeHash, NodeRef, Overlay, OverlayLog, ValueId, ValueInterner, ValueReader, ValueStore,
+};
 pub use types::{ClassMap, EnumUniverse, OidClasses, TypeExpr};
 
 /// Crate-wide result alias.

@@ -42,7 +42,7 @@ use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// A handle to an interned o-value: dense, `Copy`, O(1) equality/hash.
@@ -79,7 +79,7 @@ impl fmt::Debug for ValueId {
 /// * `Set` elements are strictly sorted by id (hence duplicate-free) —
 ///   sorting by *id* is canonical because interning is injective, so equal
 ///   ids are equal values.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Node {
     /// A constant leaf.
     Const(Constant),
@@ -89,6 +89,55 @@ pub enum Node {
     Tuple(Arc<[(AttrName, ValueId)]>),
     /// A set node; elements strictly sorted by id.
     Set(Arc<[ValueId]>),
+}
+
+/// A [`Node`] by reference: the key of a lookup that builds no node (no
+/// clone of a constant, no `Arc` of a tuple's fields). It hashes exactly
+/// like the node it borrows — `Node`'s `Hash` goes through it — so one
+/// hash finds a node whether the key is owned or borrowed.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum NodeRef<'a> {
+    /// A constant leaf.
+    Const(&'a Constant),
+    /// An oid leaf.
+    Oid(Oid),
+    /// A tuple node's entries, strictly sorted by attribute.
+    Tuple(&'a [(AttrName, ValueId)]),
+    /// A set node's elements, strictly sorted by id.
+    Set(&'a [ValueId]),
+}
+
+impl Node {
+    /// This node as a borrowed key.
+    #[inline]
+    pub fn as_node_ref(&self) -> NodeRef<'_> {
+        match self {
+            Node::Const(c) => NodeRef::Const(c),
+            Node::Oid(o) => NodeRef::Oid(*o),
+            Node::Tuple(fields) => NodeRef::Tuple(fields),
+            Node::Set(elems) => NodeRef::Set(elems),
+        }
+    }
+}
+
+impl Hash for Node {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_node_ref().hash(state);
+    }
+}
+
+/// A node's hash under its store's hasher, carried from a lookup that
+/// missed to the insert that follows it, so the node is hashed once. Only
+/// [`ValueStore::hash_key`] makes one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NodeHash(u64);
+
+impl NodeHash {
+    /// The hash itself, for a caller's own [`HashChains`].
+    pub fn raw(self) -> u64 {
+        self.0
+    }
 }
 
 /// The facts an interned node caches, read through [`ValueReader`]. All
@@ -267,9 +316,25 @@ pub trait ValueInterner: ValueReader {
     /// the constructors below, which canonicalize.
     fn insert_node(&mut self, node: Node) -> ValueId;
 
+    /// The id of the node `key` borrows, if interned. Builds no node.
+    fn lookup_ref(&self, key: NodeRef<'_>) -> Option<ValueId>;
+
+    /// The id of constant `c`, if interned. Clones nothing.
+    fn lookup_const(&self, c: &Constant) -> Option<ValueId> {
+        self.lookup_ref(NodeRef::Const(c))
+    }
+
     /// Interns a constant leaf.
     fn const_id(&mut self, c: Constant) -> ValueId {
         self.insert_node(Node::Const(c))
+    }
+
+    /// Interns a borrowed constant leaf, cloning it only when it is new.
+    fn intern_const(&mut self, c: &Constant) -> ValueId {
+        match self.lookup_const(c) {
+            Some(id) => id,
+            None => self.const_id(c.clone()),
+        }
     }
 
     /// Interns an oid leaf.
@@ -361,10 +426,11 @@ impl Layer {
         &self.metas[(id.0 - self.start) as usize]
     }
 
-    /// The id of `node`, whose hash is `h`, if this layer holds it.
-    fn find(&self, h: u64, node: &Node) -> Option<ValueId> {
+    /// The id of the node `key` borrows, whose hash is `h`, if this layer
+    /// holds it.
+    fn find(&self, h: u64, key: NodeRef<'_>) -> Option<ValueId> {
         self.chains
-            .find(h, |pos| self.nodes[pos as usize] == *node)
+            .find(h, |pos| self.nodes[pos as usize].as_node_ref() == key)
             .map(|pos| ValueId(self.start + pos))
     }
 
@@ -395,8 +461,8 @@ impl<'s, const N: usize> Stacked<'s, N> {
         layer.expect("the lowest layer starts at id 0")
     }
 
-    fn find(&self, h: u64, node: &Node) -> Option<ValueId> {
-        self.0.iter().find_map(|layer| layer.find(h, node))
+    fn find(&self, h: u64, key: NodeRef<'_>) -> Option<ValueId> {
+        self.0.iter().find_map(|layer| layer.find(h, key))
     }
 
     fn compute_meta(&self, node: &Node, empty_oids: &Arc<[Oid]>) -> Meta {
@@ -435,7 +501,16 @@ impl<'s, const N: usize> Stacked<'s, N> {
         let mut depth = 0u32;
         let mut size = 1u32;
         for child in children {
-            let m = self.layer(child).meta(child);
+            let layer = self.layer(child);
+            // A constant's facts are its node's: its metadata, which lives
+            // apart from the nodes, is not read.
+            if let Node::Const(_) = layer.node(child) {
+                has_consts = true;
+                depth = depth.max(1);
+                size = size.saturating_add(1);
+                continue;
+            }
+            let m = layer.meta(child);
             has_consts |= m.has_consts;
             depth = depth.max(m.depth);
             size = size.saturating_add(m.size);
@@ -564,7 +639,20 @@ impl ValueStore {
 
     /// The id of an already-interned canonical node, if present.
     pub fn lookup(&self, node: &Node) -> Option<ValueId> {
-        self.stacked().find(self.hasher.hash_one(node), node)
+        self.lookup_ref(node.as_node_ref())
+    }
+
+    /// The hash of the node `key` borrows, for
+    /// [`ValueStore::find_hashed`] and [`ValueStore::insert_hashed`], which
+    /// then hash nothing.
+    pub fn hash_key(&self, key: NodeRef<'_>) -> NodeHash {
+        NodeHash(self.hasher.hash_one(key))
+    }
+
+    /// The id of the node `key` borrows, whose hash
+    /// [`ValueStore::hash_key`] gave as `h`, if interned.
+    pub fn find_hashed(&self, key: NodeRef<'_>, h: NodeHash) -> Option<ValueId> {
+        self.stacked().find(h.0, key)
     }
 
     /// Height of the tree behind `id`.
@@ -582,10 +670,22 @@ impl ValueStore {
         self.meta(id).has_consts
     }
 
+    /// Interns `node`, which must be canonical, under the hash
+    /// [`ValueStore::hash_key`] gave for it — by this store, or by the
+    /// store it has grown from since, which shares its hasher.
+    pub fn insert_hashed(&mut self, node: Node, h: NodeHash) -> ValueId {
+        debug_assert_eq!(
+            self.hasher.hash_one(&node),
+            h.0,
+            "a hash from another store"
+        );
+        self.insert_at(node, h.0)
+    }
+
     /// Interns `node` as if its hash were `h` — the seam that lets tests
     /// force hash collisions.
-    fn insert_hashed(&mut self, node: Node, h: u64) -> ValueId {
-        if let Some(id) = self.stacked().find(h, &node) {
+    fn insert_at(&mut self, node: Node, h: u64) -> ValueId {
+        if let Some(id) = self.stacked().find(h, node.as_node_ref()) {
             return id;
         }
         let meta = self.stacked().compute_meta(&node, &self.empty_oids);
@@ -593,16 +693,19 @@ impl ValueStore {
     }
 
     /// Replays a worker [`OverlayLog`] into this store, in the overlay's
-    /// creation order, and returns the mapping from overlay-local index to
+    /// creation order: the log's nodes from `remap.len()` up to `end`, each
+    /// one's base id pushed onto `remap`, which maps overlay-local index to
     /// base id. The store must be the one the overlay was layered over (and
     /// may only have grown — by earlier `absorb` calls — since the overlay
     /// froze it); ids below the log's base length are stable by
     /// append-onlyness. Replay order is deterministic, so absorbing the
     /// per-task logs of a chunked parallel search reproduces the sequential
-    /// interning order exactly.
-    pub fn absorb(&mut self, log: &OverlayLog) -> Vec<ValueId> {
+    /// interning order exactly. A log may be absorbed in installments: a
+    /// caller that interns nodes of its own between them places those
+    /// where a worker that interned them at that point of its log would
+    /// have.
+    pub fn absorb(&mut self, log: &OverlayLog, end: usize, remap: &mut Vec<ValueId>) {
         debug_assert!(self.len() >= log.base_len as usize);
-        let mut remap: Vec<ValueId> = Vec::with_capacity(log.nodes.len());
         let fix = |id: ValueId, remap: &Vec<ValueId>| -> ValueId {
             if id.0 < log.base_len {
                 id
@@ -610,24 +713,23 @@ impl ValueStore {
                 remap[(id.0 - log.base_len) as usize]
             }
         };
-        for node in &log.nodes {
+        for node in &log.nodes[remap.len()..end] {
             let new_id = match node {
                 Node::Const(c) => self.const_id(c.clone()),
                 Node::Oid(o) => self.oid_id(*o),
                 Node::Tuple(fields) => {
                     let fixed: Vec<(AttrName, ValueId)> =
-                        fields.iter().map(|(a, v)| (*a, fix(*v, &remap))).collect();
+                        fields.iter().map(|(a, v)| (*a, fix(*v, remap))).collect();
                     self.tuple_id(fixed)
                 }
                 Node::Set(elems) => {
                     // Re-sort through set_id: remapping may permute ids.
-                    let fixed: Vec<ValueId> = elems.iter().map(|v| fix(*v, &remap)).collect();
+                    let fixed: Vec<ValueId> = elems.iter().map(|v| fix(*v, remap)).collect();
                     self.set_id(fixed)
                 }
             };
             remap.push(new_id);
         }
-        remap
     }
 
     /// Applies an oid renaming to the value behind `id`, reusing ids for
@@ -761,7 +863,11 @@ impl ValueReader for ValueStore {
 impl ValueInterner for ValueStore {
     fn insert_node(&mut self, node: Node) -> ValueId {
         let h = self.hasher.hash_one(&node);
-        self.insert_hashed(node, h)
+        self.insert_at(node, h)
+    }
+
+    fn lookup_ref(&self, key: NodeRef<'_>) -> Option<ValueId> {
+        self.stacked().find(self.hasher.hash_one(key), key)
     }
 }
 
@@ -817,6 +923,11 @@ impl<'a> Overlay<'a> {
         Stacked([&self.base.root, &self.base.top, &self.local])
     }
 
+    /// The frozen store under this overlay.
+    pub fn base(&self) -> &'a ValueStore {
+        self.base
+    }
+
     /// Total nodes visible (base + local).
     pub fn len(&self) -> usize {
         self.local.end() as usize
@@ -860,11 +971,15 @@ impl ValueReader for Overlay<'_> {
 impl ValueInterner for Overlay<'_> {
     fn insert_node(&mut self, node: Node) -> ValueId {
         let h = self.base.hasher.hash_one(&node);
-        if let Some(id) = self.stacked().find(h, &node) {
+        if let Some(id) = self.stacked().find(h, node.as_node_ref()) {
             return id;
         }
         let meta = self.stacked().compute_meta(&node, &self.base.empty_oids);
         self.local.push(h, node, meta)
+    }
+
+    fn lookup_ref(&self, key: NodeRef<'_>) -> Option<ValueId> {
+        self.stacked().find(self.base.hasher.hash_one(key), key)
     }
 }
 
@@ -980,6 +1095,13 @@ mod tests {
         );
     }
 
+    /// Absorbs the whole of `log` into `store`.
+    fn absorb_all(store: &mut ValueStore, log: &OverlayLog) -> Vec<ValueId> {
+        let mut remap = Vec::new();
+        store.absorb(log, log.len(), &mut remap);
+        remap
+    }
+
     #[test]
     fn absorb_replays_deterministically() {
         let mut base = ValueStore::new();
@@ -993,7 +1115,7 @@ mod tests {
             let y = ov.intern(&novel2);
             (vec![x, y], ov.into_log())
         };
-        let remap = base.absorb(&log);
+        let remap = absorb_all(&mut base, &log);
         let base_len = log.base_len;
         let fix = |id: ValueId| -> ValueId {
             if id.raw() < base_len {
@@ -1005,7 +1127,7 @@ mod tests {
         assert_eq!(base.resolve(fix(local_ids[0])), novel);
         assert_eq!(base.resolve(fix(local_ids[1])), novel2);
         // Absorbing the same log twice dedups to the same ids.
-        let remap2 = base.absorb(&log);
+        let remap2 = absorb_all(&mut base, &log);
         assert_eq!(remap, remap2);
     }
 
@@ -1024,8 +1146,8 @@ mod tests {
         assert_eq!(a1, a2, "same frozen base, same local numbering");
         let log1 = ov1.into_log();
         let log2 = ov2.into_log();
-        let r1 = base.absorb(&log1);
-        let r2 = base.absorb(&log2);
+        let r1 = absorb_all(&mut base, &log1);
+        let r2 = absorb_all(&mut base, &log2);
         assert_eq!(r1[0], r2[0], "shared value dedups across tasks");
         assert_ne!(r2[(b2.raw() - log2.base_len) as usize], r2[0]);
     }
@@ -1135,16 +1257,13 @@ mod tests {
         // under the same hash.
         let mut nodes: Vec<Node> = (0..4).map(|n| Node::Const(Constant::int(n))).collect();
         nodes.push(Node::Oid(o(1)));
-        let leaves: Vec<ValueId> = nodes
-            .iter()
-            .map(|n| s.insert_hashed(n.clone(), 7))
-            .collect();
+        let leaves: Vec<ValueId> = nodes.iter().map(|n| s.insert_at(n.clone(), 7)).collect();
         nodes.push(Node::Set(Arc::from(&leaves[..2])));
         nodes.push(Node::Set(Arc::from(&leaves[1..3])));
         nodes.push(Node::Tuple(Arc::from([(AttrName::new("a"), leaves[0])])));
         nodes.push(Node::Tuple(Arc::from([(AttrName::new("b"), leaves[0])])));
         let mut ids: Vec<ValueId> = leaves;
-        ids.extend(nodes[5..].iter().map(|n| s.insert_hashed(n.clone(), 7)));
+        ids.extend(nodes[5..].iter().map(|n| s.insert_at(n.clone(), 7)));
         assert_eq!(
             ids.iter().map(|id| id.raw()).collect::<Vec<_>>(),
             (0..9).collect::<Vec<_>>(),
@@ -1153,17 +1272,74 @@ mod tests {
         // A fork chains its top under the same hash: true duplicates are
         // found in either layer, and the new nodes stay apart.
         let mut fork = s.fork();
-        let top = fork.insert_hashed(Node::Const(Constant::int(4)), 7);
+        let top = fork.insert_at(Node::Const(Constant::int(4)), 7);
         assert_eq!(top.raw(), 9);
         nodes.push(Node::Const(Constant::int(4)));
         ids.push(top);
         for (node, &id) in nodes.iter().zip(&ids) {
-            assert_eq!(fork.insert_hashed(node.clone(), 7), id, "duplicate found");
-            assert_eq!(fork.stacked().find(7, node), Some(id));
+            assert_eq!(fork.insert_at(node.clone(), 7), id, "duplicate found");
+            assert_eq!(fork.stacked().find(7, node.as_node_ref()), Some(id));
             assert_eq!(fork.node(id), node);
-            assert_eq!(fork.stacked().find(8, node), None, "another hash misses");
+            assert_eq!(
+                fork.stacked().find(8, node.as_node_ref()),
+                None,
+                "another hash misses"
+            );
         }
         assert_eq!(fork.len(), 10);
+    }
+
+    #[test]
+    fn borrowed_keys_hash_and_find_like_owned_nodes() {
+        let mut s = ValueStore::new();
+        let v = s.intern(&sample());
+        let mut fork = s.fork();
+        let w = fork.intern(&OValue::set([OValue::str("top"), OValue::int(3)]));
+        let ids: Vec<ValueId> = (0..fork.len() as u32).map(ValueId).collect();
+        assert!(ids.contains(&v) && ids.contains(&w));
+        for &id in &ids {
+            let node = fork.node(id).clone();
+            let key = node.as_node_ref();
+            assert_eq!(fork.hasher.hash_one(&node), fork.hasher.hash_one(key));
+            assert_eq!(fork.lookup_ref(key), Some(id));
+            let h = fork.hash_key(key);
+            assert_eq!(h, NodeHash(fork.hasher.hash_one(&node)));
+            assert_eq!(fork.find_hashed(key, h), Some(id));
+            assert_eq!(Overlay::new(&fork).lookup_ref(key), Some(id));
+        }
+        // A borrowed constant finds its node without a clone, and a miss
+        // interns it once, under the probed hash.
+        let adam = Constant::str("Adam");
+        assert_eq!(
+            fork.lookup_const(&adam),
+            fork.lookup(&Node::Const(adam.clone()))
+        );
+        assert!(fork.lookup_const(&adam).is_some());
+        let eve = Constant::str("Eve");
+        assert_eq!(fork.lookup_const(&eve), None);
+        let h = fork.hash_key(NodeRef::Const(&eve));
+        assert_eq!(fork.find_hashed(NodeRef::Const(&eve), h), None);
+        let id = fork.insert_hashed(Node::Const(eve.clone()), h);
+        assert_eq!(
+            (fork.lookup_const(&eve), fork.intern_const(&eve)),
+            (Some(id), id)
+        );
+        let mut ov = Overlay::new(&fork);
+        let zed = ov.intern_const(&Constant::str("Zed"));
+        assert_eq!(ov.lookup_const(&Constant::str("Zed")), Some(zed));
+        assert_eq!(ov.intern_const(&eve), id, "base first");
+        // Under forced collisions, borrowed keys tell the chained nodes apart.
+        let mut c = ValueStore::new();
+        let nodes: Vec<Node> = (0..4).map(|n| Node::Const(Constant::int(n))).collect();
+        let ids: Vec<ValueId> = nodes.iter().map(|n| c.insert_at(n.clone(), 7)).collect();
+        let pair = c.insert_at(Node::Tuple(Arc::from([(AttrName::new("a"), ids[0])])), 7);
+        for (node, &id) in nodes.iter().zip(&ids) {
+            assert_eq!(c.stacked().find(7, node.as_node_ref()), Some(id));
+        }
+        let fields = [(AttrName::new("a"), ids[0])];
+        assert_eq!(c.stacked().find(7, NodeRef::Tuple(&fields)), Some(pair));
+        let other = [(AttrName::new("a"), ids[1])];
+        assert_eq!(c.stacked().find(7, NodeRef::Tuple(&other)), None);
     }
 
     #[test]
@@ -1207,7 +1383,7 @@ mod tests {
             assert!(local.raw() as usize >= fork.len());
             ov.into_log()
         };
-        let remap = fork.absorb(&log);
+        let remap = absorb_all(&mut fork, &log);
         assert_eq!(fork.resolve(*remap.last().unwrap()), novel);
         assert_eq!(
             base.len(),

@@ -1277,3 +1277,109 @@ fn instance_relations_match_a_set_model() {
         }
     });
 }
+
+/// `Instance::validate` remembers a pass until the next write to ρ, π or
+/// ν. After every step of a random sequence of writes, some well typed
+/// and some not, the memoized answer equals a fresh validation of a copy
+/// rebuilt from the instance's ground facts, which starts with no memo.
+#[test]
+fn validate_memo_matches_a_fresh_check() {
+    let schema = Arc::new(
+        parse_unit(
+            "schema {
+               class P: [name: D];
+               class S: {P};
+               relation R: [a: D, b: P];
+             }",
+        )
+        .unwrap()
+        .schema,
+    );
+    let (r, p, s) = (RelName::new("R"), ClassName::new("P"), ClassName::new("S"));
+    check("validate_memo_matches_a_fresh_check", 32, |rng| {
+        let mut inst = Instance::new(Arc::clone(&schema));
+        let mut oids: Vec<Oid> = Vec::new();
+        for step in 0..40 {
+            // An oid of P, or now and then one no class holds.
+            let oid = |rng: &mut Rng| match oids.len() {
+                n if n > 0 && rng.chance(0.9) => oids[rng.below(n)],
+                _ => Oid::from_raw(1000 + rng.below(3) as u64),
+            };
+            let what = match rng.below(8) {
+                0 => {
+                    let v = OValue::tuple([
+                        ("a", OValue::int(rng.below(3) as i64)),
+                        ("b", OValue::oid(oid(rng))),
+                    ]);
+                    let _ = inst.insert(r, v);
+                    "insert"
+                }
+                1 => {
+                    let v = OValue::tuple([
+                        ("a", OValue::oid(oid(rng))),
+                        ("b", OValue::int(rng.below(3) as i64)),
+                    ]);
+                    inst.insert_unchecked(r, v).unwrap();
+                    "ill-typed insert_unchecked"
+                }
+                2 => {
+                    let facts: Vec<OValue> = inst.relation(r).unwrap().iter().cloned().collect();
+                    if let Some(v) = facts.get(rng.below(facts.len() + 1)) {
+                        inst.remove(r, v).unwrap();
+                    }
+                    "remove"
+                }
+                3 => {
+                    let class = if rng.chance(0.7) { p } else { s };
+                    let o = inst.create_oid(class).unwrap();
+                    if class == p {
+                        oids.push(o);
+                    }
+                    "create_oid"
+                }
+                4 => {
+                    let target = oid(rng);
+                    let v = if rng.chance(0.7) {
+                        OValue::tuple([("name", OValue::str("x"))])
+                    } else {
+                        OValue::tuple([("name", OValue::oid(oid(rng)))])
+                    };
+                    let _ = inst.define_value(target, v);
+                    "define_value"
+                }
+                5 => {
+                    let sets: Vec<Oid> = inst.class(s).unwrap().iter().copied().collect();
+                    if let Some(&o) = sets.get(rng.below(sets.len() + 1)) {
+                        inst.add_set_member(o, OValue::oid(oid(rng))).unwrap();
+                    }
+                    "add_set_member"
+                }
+                6 => {
+                    let target = oid(rng);
+                    inst.delete_oid(target).unwrap();
+                    oids.retain(|&o| o != target);
+                    "delete_oid"
+                }
+                _ => {
+                    inst = if rng.chance(0.5) {
+                        inst.fork(&schema).unwrap()
+                    } else {
+                        inst.clone()
+                    };
+                    "fork or clone"
+                }
+            };
+            let fresh = Instance::from_ground_facts(Arc::clone(&schema), inst.ground_facts())
+                .unwrap()
+                .validate()
+                .is_ok();
+            for _ in 0..2 {
+                assert_eq!(
+                    inst.validate().is_ok(),
+                    fresh,
+                    "step {step} ({what}): memoized validate against a fresh copy"
+                );
+            }
+        }
+    });
+}
