@@ -2668,7 +2668,8 @@ mod tests {
                 .collect();
             (facts, out.full.store().len(), out.report.rule_fires.clone())
         };
-        let base = observe(&run(&prog, &input, &EvalConfig::default()).unwrap());
+        let default = run(&prog, &input, &EvalConfig::default()).unwrap();
+        let base = observe(&default);
         for threads in [1, 4] {
             for seminaive in [true, false] {
                 let cfg = EvalConfig::builder()
@@ -2679,10 +2680,7 @@ mod tests {
                 if seminaive {
                     assert_eq!(observe(&out), base, "{threads} thread(s)");
                 }
-                assert_eq!(
-                    out.output,
-                    run(&prog, &input, &EvalConfig::default()).unwrap().output
-                );
+                assert_eq!(out.output, default.output);
             }
         }
         let sorted = |k: usize| {

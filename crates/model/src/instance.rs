@@ -337,7 +337,13 @@ impl Instance {
     /// `r`; use [`Instance::relation_ids`] to read without building it.
     pub fn relation(&self, r: RelName) -> Result<&BTreeSet<OValue>> {
         let facts = self.rels.get(&r).ok_or(ModelError::UnknownRelation(r))?;
-        let resolve = || facts.ids().map(|id| self.store.resolve(id)).collect();
+        // Sorting the ids in tree order first hands the set its elements
+        // in order, so building it compares each value once.
+        let resolve = || {
+            let mut ids: Vec<ValueId> = facts.ids().collect();
+            ids.sort_unstable_by(|&a, &b| self.store.cmp_resolved(a, b));
+            ids.into_iter().map(|id| self.store.resolve(id)).collect()
+        };
         Ok(facts.view.get_or_init(|| Arc::new(resolve())))
     }
 

@@ -209,12 +209,15 @@ pub trait ValueReader {
         match self.node(id) {
             Node::Const(c) => OValue::Const(c.clone()),
             Node::Oid(o) => OValue::Oid(*o),
-            Node::Tuple(fields) => OValue::Tuple(
-                fields
-                    .iter()
-                    .map(|(a, v)| (*a, self.resolve(*v)))
-                    .collect::<BTreeMap<_, _>>(),
-            ),
+            Node::Tuple(fields) => {
+                // The entries come in attribute order: inserting them one
+                // by one builds the map without collecting and sorting.
+                let mut map = BTreeMap::new();
+                for (a, v) in fields.iter() {
+                    map.insert(*a, self.resolve(*v));
+                }
+                OValue::Tuple(map)
+            }
             Node::Set(elems) => OValue::Set(elems.iter().map(|v| self.resolve(*v)).collect()),
         }
     }
